@@ -1,23 +1,17 @@
-// Million-client scale harness: throughput/RSS sweep and legacy-vs-registry
-// live client-state accounting.
+// Million-client scale harness: throughput/RSS sweep and live client-state
+// accounting.
 //
 // Modes (mode=):
 //   * probe      — print build provenance only (the runner refuses to record
 //                  numbers from a debug build);
-//   * sweep      — run `rounds` federated rounds over a compact-registry
+//   * sweep      — run `rounds` federated rounds over a registry-backed
 //                  population of `clients` virtual clients with a fixed
 //                  sampled cohort, reporting wall-clock rounds/sec, peak RSS
 //                  (getrusage ru_maxrss), and live client-state bytes;
-//   * live_bytes — measure live per-client state (devices + registry
-//                  records + renewal cursors + loaders) for the legacy
-//                  one-live-device-per-client representation versus the
-//                  compact registry. The legacy population is measured at
-//                  `legacy_clients` (it cannot hold the target population
-//                  live — that is the point of the registry) after a full
-//                  round materializes every loader's batch storage, and
-//                  projected linearly to `clients`; per-client legacy state
-//                  is independent by construction, so the projection is
-//                  exact up to allocator slack.
+//   * live_bytes — measure live client state (registry records, renewal
+//                  cursors, pooled device replicas and loader cursors) at a
+//                  population of `clients` after two sampled rounds, and
+//                  report it per client.
 //
 // Prints one JSON object on stdout; tools/bench_scale.py drives the sweep
 // at 1k/10k/100k/1M and writes BENCH_scale.json.
@@ -74,7 +68,6 @@ int run_sweep(const util::Config& config) {
   options.participation_fraction =
       clients <= cohort ? 1.0
                         : static_cast<double>(cohort) / static_cast<double>(clients);
-  options.cluster.compact = config.get_int("registry", 1) != 0;
   options.cluster.availability.enabled = config.get_int("availability", 1) != 0;
 
   fl::FedAvgScheme scheme;
@@ -97,78 +90,43 @@ int run_sweep(const util::Config& config) {
 
   std::printf(
       "{\"build_type\":\"%s\",\"simd_tier\":\"%s\",\"mode\":\"sweep\","
-      "\"clients\":%zu,\"rounds\":%zu,\"cohort\":%zu,\"registry\":%d,"
+      "\"clients\":%zu,\"rounds\":%zu,\"cohort\":%zu,"
       "\"availability\":%d,\"participants\":%zu,\"offline_skips\":%zu,"
       "\"rounds_per_sec\":%.4f,\"wall_seconds\":%.4f,"
       "\"live_client_bytes\":%zu,\"peak_rss_bytes\":%zu}\n",
       bench::build_type(), tensor::simd::active_tier_name(), clients, rounds,
-      cohort, options.cluster.compact ? 1 : 0,
-      options.cluster.availability.enabled ? 1 : 0, participants, offline,
+      cohort, options.cluster.availability.enabled ? 1 : 0, participants, offline,
       static_cast<double>(rounds) / seconds, seconds,
       live_client_state_bytes(setup), peak_rss_bytes());
   return 0;
 }
 
 int run_live_bytes(const util::Config& config) {
-  const auto target = static_cast<std::size_t>(config.get_int("clients", 100000));
-  const auto legacy_clients =
-      static_cast<std::size_t>(config.get_int("legacy_clients", 256));
+  const auto clients = static_cast<std::size_t>(config.get_int("clients", 100000));
   const auto cohort = static_cast<std::size_t>(config.get_int("cohort", 64));
 
-  // Registry side, measured at the full target population: compact records
-  // plus a cohort's worth of pooled replicas and loader cursors.
-  std::size_t registry_bytes = 0;
-  {
-    fl::ExperimentOptions options = base_options(config);
-    options.num_clients = target;
-    options.shard_pool = 64;
-    options.train_samples = 2048;
-    options.local_iterations = 1;
-    options.participation_fraction =
-        target <= cohort ? 1.0
-                         : static_cast<double>(cohort) / static_cast<double>(target);
-    options.cluster.compact = true;
-    fl::FedAvgScheme scheme;
-    fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-    setup.engine->run_round();
-    setup.engine->run_round();
-    registry_bytes = live_client_state_bytes(setup);
-  }
-
-  // Legacy side: one live device + one live loader per client. A single
-  // full-participation round puts every loader into its steady state
-  // (materialized batch storage), which is what a long-running legacy
-  // deployment holds for the whole population.
-  std::size_t legacy_bytes = 0;
-  {
-    fl::ExperimentOptions options = base_options(config);
-    options.num_clients = legacy_clients;
-    options.shard_pool = 0;
-    options.train_samples = legacy_clients * options.batch_size;
-    options.local_iterations = 1;
-    options.participation_fraction = 1.0;
-    options.cluster.compact = false;
-    fl::FedAvgScheme scheme;
-    fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-    setup.engine->run_round();
-    legacy_bytes = live_client_state_bytes(setup);
-  }
-
-  const double per_client =
-      static_cast<double>(legacy_bytes) / static_cast<double>(legacy_clients);
-  const double projected = per_client * static_cast<double>(target);
-  const double ratio = projected / static_cast<double>(
-                                       registry_bytes == 0 ? 1 : registry_bytes);
+  fl::ExperimentOptions options = base_options(config);
+  options.num_clients = clients;
+  options.shard_pool = 64;
+  options.train_samples = 2048;
+  options.local_iterations = 1;
+  options.participation_fraction =
+      clients <= cohort ? 1.0
+                        : static_cast<double>(cohort) / static_cast<double>(clients);
+  fl::FedAvgScheme scheme;
+  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+  setup.engine->run_round();
+  setup.engine->run_round();
+  const std::size_t registry_bytes = live_client_state_bytes(setup);
 
   std::printf(
       "{\"build_type\":\"%s\",\"simd_tier\":\"%s\",\"mode\":\"live_bytes\","
-      "\"clients\":%zu,\"legacy_clients_measured\":%zu,"
-      "\"registry_bytes\":%zu,\"legacy_bytes_measured\":%zu,"
-      "\"legacy_bytes_per_client\":%.1f,\"legacy_projected_bytes\":%.0f,"
-      "\"live_bytes_ratio\":%.1f,\"peak_rss_bytes\":%zu}\n",
-      bench::build_type(), tensor::simd::active_tier_name(), target,
-      legacy_clients, registry_bytes, legacy_bytes, per_client, projected,
-      ratio, peak_rss_bytes());
+      "\"clients\":%zu,\"cohort\":%zu,\"registry_bytes\":%zu,"
+      "\"registry_bytes_per_client\":%.1f,\"peak_rss_bytes\":%zu}\n",
+      bench::build_type(), tensor::simd::active_tier_name(), clients, cohort,
+      registry_bytes,
+      static_cast<double>(registry_bytes) / static_cast<double>(clients),
+      peak_rss_bytes());
   return 0;
 }
 

@@ -83,7 +83,11 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
   fl::AsyncEngine async(setup.model.get(), setup.cluster.get(), setup.shards,
                         async_options, util::Rng(options.seed ^ 0xA5));
   async.run_updates(updates);
-  const auto eval = fl::evaluate_global(setup);
+  // The async engine keeps its own global; fl::evaluate_global would load
+  // the RoundEngine's, which this path never trains.
+  async.load_global_into_model();
+  const data::Batch test = setup.test_set.as_batch();
+  const auto eval = setup.model->evaluate(test.inputs, test.labels);
   obs::flush_outputs(flush_paths.second);
   std::cout << "async: " << updates << " updates, final accuracy "
             << util::Table::fmt(eval.accuracy, 3) << "\n";

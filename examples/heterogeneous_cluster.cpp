@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   util::Table fleet({"client", "base speed", "bandwidth (Mbps)",
                      "speed @ t=0s", "speed @ t=60s", "avg speed [0, 300s]"});
   for (std::size_t c = 0; c < cluster.size(); ++c) {
-    auto& device = cluster.client(c);
+    const sim::DeviceLease lease = cluster.lease(c);
+    sim::ClientDevice& device = *lease;
     fleet.add_row({std::to_string(c), util::Table::fmt(device.profile().base_speed, 2),
                    util::Table::fmt(device.profile().bandwidth_mbps, 1),
                    util::Table::fmt(device.timeline().speed_at(0.0), 2),

@@ -29,10 +29,10 @@
 //   pointer-key           std::map/std::set keyed on a pointer type —
 //                         iteration order is allocation-order-dependent —
 //                         src/.
-//   device-seam           ClientDevice obtained outside a DeviceLease
-//                         (`.client(...)` calls, or a ClientDevice
-//                         variable whose statement involves no lease) —
-//                         src/ minus the cluster/registry seam.
+//   device-seam           ClientDevice obtained outside a DeviceLease (a
+//                         ClientDevice variable whose statement involves
+//                         no lease) — src/ minus the cluster/registry
+//                         seam.
 #pragma once
 
 #include <set>

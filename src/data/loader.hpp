@@ -32,7 +32,7 @@ class BatchLoader {
   // every permutation is a deterministic function of the construction RNG.
   // A freshly constructed loader with the same dataset/batch_size/rng,
   // restore()d to a saved cursor, continues the exact batch sequence —
-  // this is what lets sim::ClientRegistry-backed engines keep 16 bytes per
+  // this is what lets the engines (fl::ClientTrainer) keep 16 bytes per
   // client instead of a live loader.
   struct Cursor {
     std::size_t epochs = 0;    // reshuffles performed (>= 1 once constructed)
@@ -43,10 +43,6 @@ class BatchLoader {
   // reshuffles, then seeks to `cursor.position`. Must be called on a fresh
   // loader (constructed, never advanced) with cursor.epochs >= 1.
   void restore(const Cursor& cursor);
-
-  // Approximate live heap footprint in bytes (used by the scale bench's
-  // legacy-vs-registry client-state accounting).
-  std::size_t approx_bytes() const;
 
  private:
   void reshuffle();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "nn/sgd.hpp"
@@ -12,6 +11,7 @@
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "tensor/pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
@@ -41,32 +41,16 @@ void report_async_update(std::size_t& seq, std::size_t client, double arrival,
 AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
                          std::vector<data::Dataset> shards, AsyncEngineOptions options,
                          util::Rng rng)
-    : model_(model), cluster_(cluster), shards_(std::move(shards)), options_(options) {
-  if (model_ == nullptr || cluster_ == nullptr) {
-    throw std::invalid_argument("AsyncEngine: null dependency");
-  }
-  if (cluster_->compact()) {
-    if (shards_.empty() || shards_.size() > cluster_->size()) {
-      throw std::invalid_argument("AsyncEngine: shard pool size invalid");
-    }
-  } else if (shards_.size() != cluster_->size()) {
-    throw std::invalid_argument("AsyncEngine: shard count mismatch");
-  }
+    : model_(model),
+      cluster_(cluster),
+      options_(options),
+      trainer_("AsyncEngine", model, cluster, std::move(shards), options.batch_size,
+               options.worker_threads, rng, 0xA517C) {
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("AsyncEngine: local_iterations must be > 0");
   }
   if (options_.mix <= 0.0 || options_.mix > 1.0) {
     throw std::invalid_argument("AsyncEngine: mix must be in (0, 1]");
-  }
-  if (cluster_->compact()) {
-    // Lazy loaders (fork() is pure): same streams as the eager loop below.
-    loader_rng_ = rng;
-    loader_cursors_.resize(cluster_->size());
-  } else {
-    loaders_.reserve(shards_.size());
-    for (std::size_t c = 0; c < shards_.size(); ++c) {
-      loaders_.emplace_back(&shards_[c], options_.batch_size, rng.fork(0xA517C + c));
-    }
   }
   tensor::BufferPool::set_capacity_hint(
       static_cast<std::size_t>(model_->state().numel()) * sizeof(float),
@@ -82,75 +66,18 @@ AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
 
 void AsyncEngine::load_global_into_model() { model_->load(global_); }
 
-std::unique_ptr<nn::Classifier> AsyncEngine::acquire_replica() {
-  {
-    util::MutexLock lock(replica_mutex_);
-    if (!replicas_.empty()) {
-      std::unique_ptr<nn::Classifier> replica = std::move(replicas_.back());
-      replicas_.pop_back();
-      return replica;
-    }
-  }
-  return model_->clone();
-}
-
-void AsyncEngine::release_replica(std::unique_ptr<nn::Classifier> replica) {
-  util::MutexLock lock(replica_mutex_);
-  replicas_.push_back(std::move(replica));
-}
-
-util::ThreadPool& AsyncEngine::dispatch_pool(std::size_t workers) {
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  if (workers <= shared.worker_count()) return shared;
-  if (!own_pool_ || own_pool_->worker_count() < workers) {
-    own_pool_ = std::make_unique<util::ThreadPool>(workers);
-  }
-  return *own_pool_;
-}
-
 void AsyncEngine::train_cycle(nn::Classifier& net, std::size_t c) {
   nn::SgdOptimizer optimizer(net.parameters(), options_.optimizer);
-  data::BatchLoader* loader = nullptr;
-  std::optional<data::BatchLoader> local_loader;
-  if (loaders_.empty()) {
-    local_loader.emplace(&shards_[c % shards_.size()], options_.batch_size,
-                         loader_rng_.fork(0xA517C + c));
-    const data::BatchLoader::Cursor& cur = loader_cursors_[c];
-    if (cur.epochs > 0 || cur.position > 0) local_loader->restore(cur);
-    loader = &*local_loader;
-  } else {
-    loader = &loaders_[c];
-  }
+  data::BatchLoader loader = trainer_.open_loader(c);
   for (std::size_t it = 0; it < options_.local_iterations; ++it) {
-    const data::Batch& batch = loader->next_batch();
+    const data::Batch& batch = loader.next_batch();
     net.compute_gradients(batch.inputs, batch.labels);
     optimizer.step();
   }
-  if (local_loader.has_value()) loader_cursors_[c] = local_loader->cursor();
+  trainer_.save_loader(c, loader);
 }
 
 void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
-  if (!clone_checked_) {
-    clone_checked_ = true;
-    std::unique_ptr<nn::Classifier> first = model_->clone();
-    cloneable_ = first != nullptr;
-    if (cloneable_) release_replica(std::move(first));
-  }
-
-  if (!cloneable_) {
-    // Legacy serial path: train only the winner, in place on the shared
-    // model (batch-norm buffers chain arrival-to-arrival exactly as
-    // before).
-    model_->load(*winner_flight.snapshot);
-    model_->set_training(true);
-    train_cycle(*model_, winner);
-    nn::capture_state_into(model_->parameters(), winner_flight.update);
-    nn::state_sub_inplace(winner_flight.update, *winner_flight.snapshot);
-    winner_flight.trained = true;
-    winner_flight.snapshot.reset();
-    return;
-  }
-
   // Speculative batch: the winner plus every other live, non-lost,
   // untrained cycle. Each cycle's result depends only on its own snapshot
   // and its client's private loader (one cycle in flight per client, so
@@ -192,44 +119,27 @@ void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
   }
 
   const std::vector<double> base_buffers = nn::capture_buffers(model_->backbone());
-  const auto train_one = [&](std::size_t i) {
+  trainer_.run(jobs.size(), [&](std::size_t i, nn::Classifier& replica) {
     InFlight& f = *jobs[i];
-    std::unique_ptr<nn::Classifier> replica = acquire_replica();
-    if (!base_buffers.empty()) nn::load_buffers(replica->backbone(), base_buffers);
-    replica->load(*f.snapshot);
-    replica->set_training(true);
-    train_cycle(*replica, ids[i]);
-    nn::capture_state_into(replica->parameters(), f.update);
+    if (!base_buffers.empty()) nn::load_buffers(replica.backbone(), base_buffers);
+    replica.load(*f.snapshot);
+    replica.set_training(true);
+    train_cycle(replica, ids[i]);
+    nn::capture_state_into(replica.parameters(), f.update);
     nn::state_sub_inplace(f.update, *f.snapshot);
-    if (!base_buffers.empty()) f.buffers = nn::capture_buffers(replica->backbone());
+    if (!base_buffers.empty()) f.buffers = nn::capture_buffers(replica.backbone());
     f.trained = true;
     f.snapshot.reset();  // no longer needed; drop this cycle's reference
-    release_replica(std::move(replica));
-  };
-
-  const std::size_t workers = util::ThreadPool::resolve_workers(options_.worker_threads);
-  if (workers <= 1 || jobs.size() <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) train_one(i);
-  } else {
-    dispatch_pool(workers).parallel_for_dynamic(jobs.size(), train_one, workers);
-  }
+  });
   FEDCA_MCOUNT("async.speculative_batches", 1.0);
   FEDCA_MCOUNT("async.speculative_cycles", static_cast<double>(jobs.size()));
 }
 
 void AsyncEngine::launch(std::size_t c, double t) {
   obs::TraceCollector& tracer = obs::TraceCollector::global();
-  const bool tracing = tracer.enabled();
-  if (tracing && trace_pid_base_ == 0) {
-    const auto n = static_cast<std::uint32_t>(cluster_->size());
-    trace_pid_base_ = tracer.allocate_process_ids(n + 1);
-    tracer.set_process_name(trace_pid_base_, "async/server");
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tracer.set_process_name(trace_pid_base_ + 1 + i,
-                              "async/client " + std::to_string(i));
-    }
-  }
-  const std::uint32_t pid = trace_pid_base_ + 1 + static_cast<std::uint32_t>(c);
+  const bool tracing = trainer_.arm_trace("async");
+  trainer_.name_clients({&c, 1});
+  const std::uint32_t pid = trainer_.client_pid(c);
 
   // Fault gate: a crashed client never launches again; a client inside a
   // dropout window starts its cycle when the window closes.
@@ -411,9 +321,9 @@ AsyncUpdateRecord AsyncEngine::step() {
   if (obs::metrics_enabled() && tensor::BufferPool::enabled()) {
     tensor::BufferPool::global().publish_metrics();
   }
-  if (obs::TraceCollector::global().enabled() && trace_pid_base_ != 0) {
+  if (obs::TraceCollector::global().enabled() && trainer_.trace_armed()) {
     obs::TraceCollector::global().record_instant(
-        trace_pid_base_, "apply_update", clock_,
+        trainer_.server_pid(), "apply_update", clock_,
         {{"client", std::to_string(record.client_id)},
          {"staleness", std::to_string(record.staleness)},
          {"version", std::to_string(record.applied_version)}});

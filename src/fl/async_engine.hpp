@@ -26,15 +26,12 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "data/loader.hpp"
+#include "fl/client_trainer.hpp"
 #include "fl/types.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
 #include "sim/cluster.hpp"
 #include "util/rng.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
@@ -57,8 +54,7 @@ struct AsyncEngineOptions {
   // cached, the engine batch-trains EVERY untrained live in-flight cycle
   // concurrently on model replicas — each cycle's update depends only on
   // its own snapshot and its client's private loader stream, so results
-  // are bit-identical for any worker count. Requires a cloneable model;
-  // otherwise cycles train serially at arrival (legacy behavior).
+  // are bit-identical for any worker count.
   std::size_t worker_threads = 0;
   // Cap on how many cycles one speculative batch may train (winner plus
   // the earliest-arriving others). 0 = unlimited, the historical behavior;
@@ -129,23 +125,16 @@ class AsyncEngine {
   // cycle's snapshot), pulling batches from the client's loader stream.
   void train_cycle(nn::Classifier& net, std::size_t c);
   // Trains `winner_flight` (client `winner`) plus every other untrained
-  // live in-flight cycle, concurrently on replicas when the model is
-  // cloneable. Fills each flight's `update` / `buffers` / `trained`.
+  // live in-flight cycle, concurrently on replicas. Fills each flight's
+  // `update` / `buffers` / `trained`.
   void train_pending(InFlight& winner_flight, std::size_t winner);
-  std::unique_ptr<nn::Classifier> acquire_replica();
-  void release_replica(std::unique_ptr<nn::Classifier> replica);
-  util::ThreadPool& dispatch_pool(std::size_t workers);
 
   nn::Classifier* model_;
   sim::Cluster* cluster_;
-  std::vector<data::Dataset> shards_;
   AsyncEngineOptions options_;
-  // Legacy clusters: one persistent loader per client. Compact clusters:
-  // loaders are rebuilt per training pass from loader_rng_'s pure
-  // per-client fork plus the stored cursor (same scheme as RoundEngine).
-  std::vector<data::BatchLoader> loaders_;
-  util::Rng loader_rng_;
-  std::vector<data::BatchLoader::Cursor> loader_cursors_;
+  // Shard pool, loader cursors (stream base 0xA517C), replicas, dispatch,
+  // trace pids.
+  ClientTrainer trainer_;
   std::vector<InFlight> in_flight_;  // one slot per client
   nn::ModelState global_;
   // Shared snapshot of `global_` at `snapshot_version_`, handed to every
@@ -154,18 +143,9 @@ class AsyncEngine {
   std::size_t snapshot_version_ = 0;
   std::size_t version_ = 0;
   double clock_ = 0.0;
-  // Trace pids (server + one per client), reserved lazily on the first
-  // launch that finds the trace collector armed. 0 = not yet reserved.
-  std::uint32_t trace_pid_base_ = 0;
   // Monotone sequence number for run-report async_update lines (applied,
   // lost, and permanently-dead records all consume one).
   std::size_t report_sequence_ = 0;
-  // Replica free-list for speculative parallel training.
-  util::Mutex replica_mutex_;
-  std::vector<std::unique_ptr<nn::Classifier>> replicas_ FEDCA_GUARDED_BY(replica_mutex_);
-  bool clone_checked_ = false;
-  bool cloneable_ = false;
-  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 }  // namespace fedca::fl

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -13,6 +12,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
@@ -31,43 +31,18 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
                          RoundEngineOptions options, util::Rng rng)
     : model_(model),
       cluster_(cluster),
-      shards_(std::move(shards)),
       scheme_(scheme),
-      options_(options) {
-  if (model_ == nullptr || cluster_ == nullptr || scheme_ == nullptr) {
+      options_(options),
+      trainer_("RoundEngine", model, cluster, std::move(shards), options.batch_size,
+               options.worker_threads, rng, 0xB00C) {
+  if (scheme_ == nullptr) {
     throw std::invalid_argument("RoundEngine: null dependency");
-  }
-  if (cluster_->compact()) {
-    // Compact clusters may share a shard pool smaller than the population
-    // (client c reads shards_[c % pool]); an oversized pool is still a
-    // caller bug.
-    if (shards_.empty() || shards_.size() > cluster_->size()) {
-      throw std::invalid_argument("RoundEngine: shard pool size " +
-                                  std::to_string(shards_.size()) +
-                                  " invalid for cluster size " +
-                                  std::to_string(cluster_->size()));
-    }
-  } else if (shards_.size() != cluster_->size()) {
-    throw std::invalid_argument("RoundEngine: shard count " +
-                                std::to_string(shards_.size()) + " != cluster size " +
-                                std::to_string(cluster_->size()));
   }
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("RoundEngine: local_iterations must be > 0");
   }
   if (options_.participation_fraction <= 0.0 || options_.participation_fraction > 1.0) {
     throw std::invalid_argument("RoundEngine: participation_fraction must be in (0, 1]");
-  }
-  if (cluster_->compact()) {
-    // Lazy loaders: fork() is pure, so snapshotting the parent here yields
-    // the exact per-client streams the eager loop below would produce.
-    loader_rng_ = rng;
-    loader_cursors_.resize(cluster_->size());
-  } else {
-    loaders_.reserve(shards_.size());
-    for (std::size_t c = 0; c < shards_.size(); ++c) {
-      loaders_.emplace_back(&shards_[c], options_.batch_size, rng.fork(0xB00C + c));
-    }
   }
   selection_rng_ = rng.fork(0x5E1EC7);
   global_ = model_->state();
@@ -86,55 +61,8 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
 
 void RoundEngine::load_global_into_model() { model_->load(global_); }
 
-std::size_t RoundEngine::live_loader_bytes() const {
-  std::size_t bytes = 0;
-  for (const data::BatchLoader& loader : loaders_) bytes += loader.approx_bytes();
-  bytes += loader_cursors_.capacity() * sizeof(data::BatchLoader::Cursor);
-  return bytes;
-}
-
-std::unique_ptr<nn::Classifier> RoundEngine::acquire_replica() {
-  {
-    util::MutexLock lock(replica_mutex_);
-    if (!replicas_.empty()) {
-      std::unique_ptr<nn::Classifier> replica = std::move(replicas_.back());
-      replicas_.pop_back();
-      return replica;
-    }
-  }
-  // Clone outside the lock: deep copies are the expensive part.
-  return model_->clone();
-}
-
-void RoundEngine::release_replica(std::unique_ptr<nn::Classifier> replica) {
-  util::MutexLock lock(replica_mutex_);
-  replicas_.push_back(std::move(replica));
-}
-
-util::ThreadPool& RoundEngine::dispatch_pool(std::size_t workers) {
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  if (workers <= shared.worker_count()) return shared;
-  if (!own_pool_ || own_pool_->worker_count() < workers) {
-    own_pool_ = std::make_unique<util::ThreadPool>(workers);
-  }
-  return *own_pool_;
-}
-
-void RoundEngine::register_trace_processes() {
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
-  if (trace_registered_ || !tracer.enabled()) return;
-  const auto n = static_cast<std::uint32_t>(cluster_->size());
-  trace_pid_base_ = tracer.allocate_process_ids(n + 1);
-  tracer.set_process_name(server_pid(), scheme_->name() + "/server");
-  for (std::uint32_t c = 0; c < n; ++c) {
-    tracer.set_process_name(trace_pid_base_ + 1 + c,
-                            scheme_->name() + "/client " + std::to_string(c));
-  }
-  trace_registered_ = true;
-}
-
 RoundRecord RoundEngine::run_round() {
-  register_trace_processes();
+  trainer_.arm_trace(scheme_->name());
   RoundRecord record;
   record.round_index = round_index_;
   record.start_time = clock_;
@@ -156,6 +84,9 @@ RoundRecord RoundEngine::run_round() {
                                               static_cast<double>(cluster_->size()))));
     participants = selection_rng_.sample_without_replacement(cluster_->size(), quota);
   }
+  // Trace metadata for this round's cohort only, named before anything
+  // (crash instants included) can mention a participant.
+  trainer_.name_clients(participants);
 
   // Permanently crashed clients leave the population: they are not asked
   // to participate, so schemes never see them and the deadline estimator's
@@ -217,13 +148,6 @@ RoundRecord RoundEngine::run_round() {
     infos[i] = info;
   }
 
-  if (!clone_checked_) {
-    clone_checked_ = true;
-    std::unique_ptr<nn::Classifier> first = model_->clone();
-    cloneable_ = first != nullptr;
-    if (cloneable_) release_replica(std::move(first));
-  }
-
   record.clients.resize(participants.size());
 
   // Round-relative upload cut-off, fixed before training starts (it only
@@ -233,63 +157,39 @@ RoundRecord RoundEngine::run_round() {
                                  : record.start_time + options_.upload_timeout;
   // Streaming aggregation: free non-quorum payloads the moment each slot
   // lands instead of buffering the whole cohort until selection.
-  const bool streaming =
-      options_.streaming == StreamingMode::kOn ||
-      (options_.streaming == StreamingMode::kAuto && cluster_->compact());
   std::unique_ptr<StreamingQuorum> quorum;
-  if (streaming && !record.clients.empty()) {
+  if (!record.clients.empty()) {
     quorum = std::make_unique<StreamingQuorum>(
         &record.clients,
         collect_quota(record.clients.size(), options_.collect_fraction),
         timeout_cut);
   }
 
-  if (!cloneable_) {
-    // Legacy serial path: the model cannot be cloned, so every client
-    // trains in place on the shared instance, in participant order.
+  // Every client trains a private replica seeded with the global weights
+  // and the round-start buffer snapshot (for every worker count, so
+  // batch-norm buffer semantics never depend on the schedule); results
+  // land in pre-sized slots, so output is bit-identical for 1 or N workers.
+  const std::vector<double> round_buffers = nn::capture_buffers(model_->backbone());
+  std::vector<std::vector<double>> slot_buffers(participants.size());
+  std::vector<char> slot_trained(participants.size(), 0);
+  trainer_.run(participants.size(), [&](std::size_t i, nn::Classifier& replica) {
+    if (!round_buffers.empty()) nn::load_buffers(replica.backbone(), round_buffers);
     bool trained = false;
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      record.clients[i] = run_client(participants[i], infos[i], *model_, &trained);
-      if (quorum) quorum->offer(i);
+    record.clients[i] = run_client(participants[i], infos[i], replica, &trained);
+    if (trained && !round_buffers.empty()) {
+      slot_buffers[i] = nn::capture_buffers(replica.backbone());
     }
-  } else {
-    // Replica path (used for EVERY worker count so batch-norm buffer
-    // semantics never depend on the schedule): each client trains a private
-    // replica seeded with the global weights and the round-start buffer
-    // snapshot; results land in pre-sized slots, so output is bit-identical
-    // for 1 or N workers.
-    const std::vector<double> round_buffers = nn::capture_buffers(model_->backbone());
-    std::vector<std::vector<double>> slot_buffers(participants.size());
-    std::vector<char> slot_trained(participants.size(), 0);
-    const auto train_one = [&](std::size_t i) {
-      std::unique_ptr<nn::Classifier> replica = acquire_replica();
-      if (!round_buffers.empty()) {
-        nn::load_buffers(replica->backbone(), round_buffers);
-      }
-      bool trained = false;
-      record.clients[i] = run_client(participants[i], infos[i], *replica, &trained);
-      if (trained && !round_buffers.empty()) {
-        slot_buffers[i] = nn::capture_buffers(replica->backbone());
-      }
-      slot_trained[i] = trained ? 1 : 0;
-      release_replica(std::move(replica));
-      if (quorum) quorum->offer(i);
-    };
-    const std::size_t workers = util::ThreadPool::resolve_workers(options_.worker_threads);
-    if (workers <= 1 || participants.size() <= 1) {
-      for (std::size_t i = 0; i < participants.size(); ++i) train_one(i);
-    } else {
-      dispatch_pool(workers).parallel_for_dynamic(participants.size(), train_one, workers);
-    }
-    // The shared model keeps the buffers of the last participant that
-    // trained — the same participant the serial schedule would leave them
-    // from — regardless of how the slots were scheduled.
-    if (!round_buffers.empty()) {
-      for (std::size_t i = participants.size(); i-- > 0;) {
-        if (slot_trained[i]) {
-          nn::load_buffers(model_->backbone(), slot_buffers[i]);
-          break;
-        }
+    slot_trained[i] = trained ? 1 : 0;
+    if (quorum) quorum->offer(i);
+  });
+  // The shared model keeps the buffers of the last participant that
+  // trained — the same participant the serial schedule would leave them
+  // from — regardless of how the slots were scheduled.
+  if (!round_buffers.empty()) {
+    for (std::size_t i = participants.size(); i-- > 0;) {
+      if (slot_trained[i]) {
+        nn::load_buffers(model_->backbone(), slot_buffers[i]);
+        break;
       }
     }
   }
@@ -476,19 +376,18 @@ RoundRecord RoundEngine::run_round() {
 
 ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo& info,
                                           nn::Classifier& model, bool* trained) {
-  // In compact mode the lease materializes a pooled replica from the
-  // registry record and commits link state back when it drops (including
-  // on every early return below); legacy mode borrows the live device.
+  // The lease materializes a pooled device from the registry record and
+  // commits link state back when it drops (including on every early return
+  // below).
   sim::DeviceLease device_lease = cluster_->lease(client_id);
   sim::ClientDevice& device = *device_lease;
   ClientPolicy& policy = scheme_->client_policy(client_id);
   const double bytes_per_param = model.info().bytes_per_actual_param();
   const double iteration_work = model.info().nominal_iteration_seconds;
-  const std::size_t shard = client_id % shards_.size();
 
   ClientRoundResult result;
   result.client_id = client_id;
-  result.weight = static_cast<double>(shards_[shard].size());
+  result.weight = static_cast<double>(trainer_.shard(client_id).size());
   result.planned_iterations = info.planned_iterations;
 
   // Optional lossy codec on everything this client uploads this round.
@@ -580,20 +479,9 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
                         {"round", std::to_string(info.round_index)}});
   }
 
-  // 2. Local training. Legacy clusters use the client's persistent loader;
-  // compact clusters rebuild it from the pure per-client fork and the
-  // stored (epoch, position) cursor — same stream, O(cohort) live loaders.
-  data::BatchLoader* loader = nullptr;
-  std::optional<data::BatchLoader> local_loader;
-  if (loaders_.empty()) {
-    local_loader.emplace(&shards_[shard], options_.batch_size,
-                         loader_rng_.fork(0xB00C + client_id));
-    const data::BatchLoader::Cursor& cur = loader_cursors_[client_id];
-    if (cur.epochs > 0 || cur.position > 0) local_loader->restore(cur);
-    loader = &*local_loader;
-  } else {
-    loader = &loaders_[client_id];
-  }
+  // 2. Local training, on the client's loader stream resumed where its
+  // previous round stopped.
+  data::BatchLoader loader = trainer_.open_loader(client_id);
   model.load(global_);
   model.set_training(true);
   *trained = true;  // at least one SGD step always runs past this point
@@ -621,7 +509,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
       FEDCA_KERNEL_SPAN("sgd.step");
       // Reference into the loader's reused batch storage — no per-iteration
       // gather allocation.
-      const data::Batch& batch = loader->next_batch();
+      const data::Batch& batch = loader.next_batch();
       loss_sum += model.compute_gradients(batch.inputs, batch.labels);
       optimizer.step();
     }
@@ -730,9 +618,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
       break;
     }
   }
-  if (local_loader.has_value()) {
-    loader_cursors_[client_id] = local_loader->cursor();
-  }
+  trainer_.save_loader(client_id, loader);
   result.iterations_run = iterations;
   result.early_stopped = stopped_early;
   result.compute_done = t;

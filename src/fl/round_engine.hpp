@@ -29,25 +29,15 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "data/loader.hpp"
 #include "fl/aggregation.hpp"
+#include "fl/client_trainer.hpp"
 #include "fl/scheme.hpp"
 #include "fl/types.hpp"
 #include "nn/models.hpp"
 #include "sim/cluster.hpp"
 #include "util/rng.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
-
-// Whether run_round frees non-quorum update payloads as results stream in
-// (see StreamingQuorum). kAuto turns streaming on exactly when the cluster
-// is compact: legacy single-process experiments (and tests that inspect
-// per-client applied updates after the round) keep every payload, scale
-// runs hold at most quota + in-flight updates live.
-enum class StreamingMode { kAuto, kOn, kOff };
 
 struct RoundEngineOptions {
   std::size_t local_iterations = 125;  // K
@@ -75,19 +65,16 @@ struct RoundEngineOptions {
   // concurrency), 1 forces serial execution. Results are bit-identical for
   // every worker count: RNG streams are per-client, results land in
   // pre-sized slots, and aggregation runs in participant order on the main
-  // thread. Requires the model to be cloneable (Module::clone); otherwise
-  // the engine silently trains serially on the shared instance.
+  // thread.
   std::size_t worker_threads = 0;
-  // Streaming aggregation memory bound (payloads only; never changes the
-  // aggregate). See StreamingMode.
-  StreamingMode streaming = StreamingMode::kAuto;
 };
 
 class RoundEngine {
  public:
   // `model` is the shared training replica (global weights are kept in the
   // engine and loaded per client); `cluster` provides virtual devices;
-  // `shards` are the per-client datasets (size must equal cluster size).
+  // `shards` is the shard pool: client c reads shards[c % shards.size()],
+  // and the pool must hold between 1 and cluster-size shards.
   RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
               std::vector<data::Dataset> shards, Scheme* scheme,
               RoundEngineOptions options, util::Rng rng);
@@ -104,64 +91,34 @@ class RoundEngine {
   // Loads the current global weights into the shared model replica (used
   // before evaluation).
   void load_global_into_model();
-  // Bytes of live per-client loader state (persistent loaders in legacy
-  // mode, compact cursors in registry mode) — scale bench accounting.
-  std::size_t live_loader_bytes() const;
+  // Bytes of live per-client loader state (the loader cursors) — scale
+  // bench accounting.
+  std::size_t live_loader_bytes() const { return trainer_.live_loader_bytes(); }
 
  private:
-  // Trains one client on `model` (the shared instance on the serial path, a
-  // private replica on the parallel path). Sets *trained when at least one
-  // SGD step ran — the caller uses it to decide whose batch-norm buffers
-  // survive the round.
+  // Trains one client on `model`, a private replica. Sets *trained when at
+  // least one SGD step ran — the caller uses it to decide whose batch-norm
+  // buffers survive the round.
   ClientRoundResult run_client(std::size_t client_id, const RoundInfo& info,
                                nn::Classifier& model, bool* trained);
-  // Pops a free replica (cloning a new one if the pool is empty); returns
-  // nullptr when the model is not cloneable.
-  std::unique_ptr<nn::Classifier> acquire_replica();
-  void release_replica(std::unique_ptr<nn::Classifier> replica);
-  // The pool used for dispatch: the process-shared pool when it is large
-  // enough, otherwise a lazily-created engine-owned pool of `workers`
-  // threads (so explicit worker counts above the shared pool's size still
-  // exercise real concurrency).
-  util::ThreadPool& dispatch_pool(std::size_t workers);
-  // Lazily reserves trace pids (server + one per client) and names the
-  // processes; no-op while the trace collector is disarmed.
-  void register_trace_processes();
-  std::uint32_t server_pid() const { return trace_pid_base_; }
+  std::uint32_t server_pid() const { return trainer_.server_pid(); }
   std::uint32_t client_pid(std::size_t client_id) const {
-    return trace_pid_base_ + 1 + static_cast<std::uint32_t>(client_id);
+    return trainer_.client_pid(client_id);
   }
 
   nn::Classifier* model_;
   sim::Cluster* cluster_;
-  std::vector<data::Dataset> shards_;
   Scheme* scheme_;
   RoundEngineOptions options_;
-  // Legacy clusters keep one persistent loader per client. Compact clusters
-  // defer loaders entirely: run_client builds a throwaway loader from
-  // loader_rng_'s per-client fork (forks are pure, so the stream is
-  // re-derivable at any time) and loader_cursors_ carries each client's
-  // 16-byte (reshuffle epoch, position) state between leases — bit-identical
-  // batches at O(cohort) instead of O(clients) loader memory.
-  std::vector<data::BatchLoader> loaders_;
-  util::Rng loader_rng_;
-  std::vector<data::BatchLoader::Cursor> loader_cursors_;
+  // Shard pool, loader cursors (stream base 0xB00C), replicas, dispatch.
+  ClientTrainer trainer_;
   nn::ModelState global_;
   util::Rng selection_rng_;
   double clock_ = 0.0;
   std::size_t round_index_ = 0;
-  std::uint32_t trace_pid_base_ = 0;
-  bool trace_registered_ = false;
   // Per-client flag so a permanent crash is announced (instant + counter)
   // exactly once, the first round it takes effect.
   std::vector<char> crash_reported_;
-  // Replica free-list for parallel client training. `cloneable_` caches the
-  // first clone() attempt's verdict.
-  util::Mutex replica_mutex_;
-  std::vector<std::unique_ptr<nn::Classifier>> replicas_ FEDCA_GUARDED_BY(replica_mutex_);
-  bool clone_checked_ = false;
-  bool cloneable_ = false;
-  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 }  // namespace fedca::fl

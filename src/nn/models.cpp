@@ -40,9 +40,7 @@ Classifier::Classifier(std::unique_ptr<Module> backbone, ModelInfo info)
 }
 
 std::unique_ptr<Classifier> Classifier::clone() const {
-  std::unique_ptr<Module> backbone_copy = backbone_->clone();
-  if (!backbone_copy) return nullptr;
-  auto out = std::make_unique<Classifier>(std::move(backbone_copy), info_);
+  auto out = std::make_unique<Classifier>(backbone_->clone(), info_);
   // The ctor recomputes actual_params; keep the exact original info in
   // case a caller tweaked it after construction.
   out->info_ = info_;

@@ -22,7 +22,7 @@ class Sequential : public Module {
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Sequential"; }
   void set_training(bool training) override;
-  // Deep clone; nullptr if any child is not cloneable.
+  // Deep clone of every child.
   std::unique_ptr<Module> clone() const override;
   void visit_buffers(const std::function<void(std::span<double>)>& fn) override;
 
@@ -41,7 +41,7 @@ class Residual : public Module {
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Residual"; }
   void set_training(bool training) override;
-  // Deep clone; nullptr if any branch is not cloneable.
+  // Deep clone of both branches.
   std::unique_ptr<Module> clone() const override;
   void visit_buffers(const std::function<void(std::span<double>)>& fn) override;
 

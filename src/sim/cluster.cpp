@@ -54,31 +54,16 @@ std::size_t ClientDevice::approx_bytes() const {
   return bytes;
 }
 
-DeviceLease::DeviceLease(Cluster* cluster, std::size_t id, ClientDevice* borrowed)
-    : cluster_(cluster), id_(id), device_(borrowed) {}
-
 DeviceLease::DeviceLease(Cluster* cluster, std::size_t id,
-                         std::unique_ptr<ClientDevice> owned)
-    : cluster_(cluster), id_(id), device_(owned.get()), owned_(std::move(owned)) {}
-
-DeviceLease::DeviceLease(DeviceLease&& other) noexcept
-    : cluster_(other.cluster_),
-      id_(other.id_),
-      device_(other.device_),
-      owned_(std::move(other.owned_)) {
-  other.cluster_ = nullptr;
-  other.device_ = nullptr;
-}
+                         std::unique_ptr<ClientDevice> device)
+    : cluster_(cluster), id_(id), device_(std::move(device)) {}
 
 DeviceLease& DeviceLease::operator=(DeviceLease&& other) noexcept {
   if (this != &other) {
     release();
     cluster_ = other.cluster_;
     id_ = other.id_;
-    device_ = other.device_;
-    owned_ = std::move(other.owned_);
-    other.cluster_ = nullptr;
-    other.device_ = nullptr;
+    device_ = std::move(other.device_);
   }
   return *this;
 }
@@ -86,52 +71,26 @@ DeviceLease& DeviceLease::operator=(DeviceLease&& other) noexcept {
 DeviceLease::~DeviceLease() { release(); }
 
 void DeviceLease::release() {
-  if (owned_ != nullptr && cluster_ != nullptr) {
-    cluster_->return_replica(id_, std::move(owned_));
-  }
-  cluster_ = nullptr;
-  device_ = nullptr;
+  if (device_ != nullptr) cluster_->return_replica(id_, std::move(device_));
 }
 
 Cluster::Cluster(const ClusterOptions& options, util::Rng& rng) : options_(options) {
-  if (options.compact) {
-    registry_ = std::make_unique<ClientRegistry>(options, rng);
-  } else {
-    const std::vector<trace::DeviceProfile> profiles =
-        trace::synthesize_profiles(options.num_clients, options.heterogeneity, rng);
-    clients_.reserve(options.num_clients);
-    for (std::size_t i = 0; i < options.num_clients; ++i) {
-      clients_.push_back(std::make_unique<ClientDevice>(
-          i, profiles[i], options.dynamicity, options.link_latency_seconds,
-          rng.fork(0x5EED0000 + i)));
-    }
+  if (!options.compact) {
+    throw std::invalid_argument(
+        "Cluster: compact = false is no longer supported; the client "
+        "registry is the only population representation");
   }
+  registry_ = std::make_unique<ClientRegistry>(options, rng);
   if (options.availability.enabled) {
     availability_ = std::make_unique<AvailabilityModel>(options.availability);
-    if (!options.compact) {
-      availability_cursors_.resize(options.num_clients);
-    }
   }
 }
 
 Cluster::~Cluster() = default;
 
-std::size_t Cluster::size() const {
-  return registry_ != nullptr ? registry_->size() : clients_.size();
-}
-
-ClientDevice& Cluster::client(std::size_t i) {
-  if (registry_ != nullptr) {
-    throw std::logic_error("Cluster::client: compact cluster has no live devices; "
-                           "use lease()");
-  }
-  return *clients_.at(i);
-}
+std::size_t Cluster::size() const { return registry_->size(); }
 
 DeviceLease Cluster::lease(std::size_t i) {
-  if (registry_ == nullptr) {
-    return DeviceLease(this, i, clients_.at(i).get());
-  }
   std::unique_ptr<ClientDevice> replica;
   {
     util::MutexLock lock(pool_mutex_);
@@ -158,7 +117,6 @@ void Cluster::return_replica(std::size_t id, std::unique_ptr<ClientDevice> repli
 
 void Cluster::install_faults(std::shared_ptr<const FaultInjector> faults) {
   faults_ = std::move(faults);
-  for (auto& client : clients_) client->set_faults(faults_);
   if (faults_ != nullptr) {
     FEDCA_MCOUNT("faults.scheduled_events",
                  static_cast<double>(faults_->schedule().events().size()));
@@ -167,22 +125,12 @@ void Cluster::install_faults(std::shared_ptr<const FaultInjector> faults) {
 
 bool Cluster::online_at(std::size_t i, double t) {
   if (availability_ == nullptr) return true;
-  AvailabilityCursor& cursor = registry_ != nullptr
-                                   ? registry_->record(i).availability
-                                   : availability_cursors_.at(i);
-  return availability_->online_at(i, cursor, t);
+  return availability_->online_at(i, registry_->record(i).availability, t);
 }
 
 std::size_t Cluster::live_client_bytes() {
-  std::size_t bytes = 0;
-  for (const auto& client : clients_) {
-    bytes += sizeof(client) + client->approx_bytes();
-  }
-  if (registry_ != nullptr) bytes += registry_->live_bytes();
-  if (availability_ != nullptr) {
-    bytes += availability_->live_bytes() +
-             availability_cursors_.capacity() * sizeof(AvailabilityCursor);
-  }
+  std::size_t bytes = registry_->live_bytes();
+  if (availability_ != nullptr) bytes += availability_->live_bytes();
   {
     util::MutexLock lock(pool_mutex_);
     for (const auto& replica : device_pool_) {

@@ -6,21 +6,13 @@
 // rate-limited uplink/downlink. Virtual time is global and monotone for
 // the lifetime of the cluster.
 //
-// Two population representations share one interface:
-//
-//   * legacy (default): one live ClientDevice per client, accessible via
-//     client(i) — exact per-object state, O(clients) memory;
-//   * compact (`ClusterOptions::compact`): per-client state lives in a
-//     ClientRegistry of POD records and devices exist only while leased —
-//     lease(i) materializes a pooled replica from client i's record
-//     (re-deriving the speed timeline from its deterministic RNG fork and
-//     restoring persisted link occupancy) and returns it to the pool when
-//     the lease drops, committing mutable state back to the record. Leased
-//     behavior is bit-identical to the legacy device; memory is
-//     O(sampled cohort) live devices + O(clients) compact records.
-//
-// Engines access devices exclusively through lease(), which degrades to a
-// zero-cost borrow of the live object in legacy mode.
+// Per-client state lives in a ClientRegistry of POD records
+// (sim/client_registry.hpp); devices exist only while leased. lease(i)
+// materializes a pooled replica from client i's record (re-deriving the
+// speed timeline from its deterministic RNG fork and restoring persisted
+// link occupancy) and returns it to the pool when the lease drops,
+// committing mutable state back to the record. Memory is O(leased cohort)
+// live devices + O(clients) compact records.
 #pragma once
 
 #include <memory>
@@ -44,10 +36,11 @@ struct ClusterOptions {
   trace::DynamicityOptions dynamicity;
   // Fixed per-transfer latency on client links.
   double link_latency_seconds = 0.005;
-  // Compact population: back the cluster with a ClientRegistry of POD
-  // records and materialize devices per lease instead of holding one live
-  // ClientDevice per client. Bit-identical to the legacy representation.
-  bool compact = false;
+  // Source-compatibility member only: the registry is the cluster's one
+  // population representation. Existing callers (the perfbench harness)
+  // still assign `compact = true`; the Cluster constructor rejects `false`
+  // with std::invalid_argument, since nothing can honor it.
+  bool compact = true;
   // Population availability dynamics (on/off churn, day/night modulation,
   // correlated outages). Disabled by default: engines then never query it
   // and behavior is bit-identical to a build without the layer.
@@ -96,34 +89,31 @@ class ClientDevice {
 
 class Cluster;
 
-// RAII device checkout. In legacy mode this borrows the live ClientDevice
-// (destructor is a no-op); in compact mode it owns a pooled replica that is
-// committed back to the registry record and returned to the pool on
-// destruction. Leases for distinct clients may be held concurrently (one
-// lease per client at a time — the engines' slot-exclusive training already
-// guarantees this).
+// RAII device checkout: owns a pooled replica materialized from the
+// client's registry record, committed back to the record and returned to
+// the pool on destruction. Leases for distinct clients may be held
+// concurrently (one lease per client at a time — the engines'
+// slot-exclusive training already guarantees this).
 class DeviceLease {
  public:
-  DeviceLease(DeviceLease&& other) noexcept;
+  DeviceLease(DeviceLease&& other) noexcept = default;
   DeviceLease& operator=(DeviceLease&& other) noexcept;
   DeviceLease(const DeviceLease&) = delete;
   DeviceLease& operator=(const DeviceLease&) = delete;
   ~DeviceLease();
 
   ClientDevice& operator*() const { return *device_; }
-  ClientDevice* operator->() const { return device_; }
-  ClientDevice* get() const { return device_; }
+  ClientDevice* operator->() const { return device_.get(); }
+  ClientDevice* get() const { return device_.get(); }
 
  private:
   friend class Cluster;
-  DeviceLease(Cluster* cluster, std::size_t id, ClientDevice* borrowed);
-  DeviceLease(Cluster* cluster, std::size_t id, std::unique_ptr<ClientDevice> owned);
+  DeviceLease(Cluster* cluster, std::size_t id, std::unique_ptr<ClientDevice> device);
   void release();
 
   Cluster* cluster_ = nullptr;
   std::size_t id_ = 0;
-  ClientDevice* device_ = nullptr;
-  std::unique_ptr<ClientDevice> owned_;
+  std::unique_ptr<ClientDevice> device_;
 };
 
 class Cluster {
@@ -132,10 +122,6 @@ class Cluster {
   ~Cluster();
 
   std::size_t size() const;
-  bool compact() const { return registry_ != nullptr; }
-  // Legacy-mode direct access (tests/examples). Throws in compact mode —
-  // use lease() there.
-  ClientDevice& client(std::size_t i);
   // Checks out client `i`'s device (see DeviceLease). Thread-safe for
   // distinct clients.
   DeviceLease lease(std::size_t i);
@@ -151,25 +137,19 @@ class Cluster {
   bool availability_enabled() const { return availability_ != nullptr; }
   bool online_at(std::size_t i, double t);
 
-  // Bytes of live per-client state (devices + registry records + renewal
-  // state) — the quantity the scale bench compares legacy vs compact.
+  // Bytes of live per-client state (registry records, renewal state and
+  // pooled device replicas) — scale bench accounting.
   std::size_t live_client_bytes();
-
-  ClientRegistry* registry() { return registry_.get(); }
 
  private:
   friend class DeviceLease;
   void return_replica(std::size_t id, std::unique_ptr<ClientDevice> replica);
 
   ClusterOptions options_;
-  std::vector<std::unique_ptr<ClientDevice>> clients_;  // legacy mode only
-  std::unique_ptr<ClientRegistry> registry_;            // compact mode only
+  std::unique_ptr<ClientRegistry> registry_;
   std::unique_ptr<AvailabilityModel> availability_;
-  // Legacy-mode availability cursors (compact mode keeps them in the
-  // registry records).
-  std::vector<AvailabilityCursor> availability_cursors_;
   std::shared_ptr<const FaultInjector> faults_;
-  // Pooled device replicas for compact-mode leases.
+  // Pooled device replicas for leases.
   util::Mutex pool_mutex_;
   std::vector<std::unique_ptr<ClientDevice>> device_pool_ FEDCA_GUARDED_BY(pool_mutex_);
 };

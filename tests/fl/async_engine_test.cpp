@@ -96,16 +96,14 @@ TEST(AsyncEngine, StalenessDiscountsWeight) {
 TEST(AsyncEngine, FastClientsContributeMoreOften) {
   AsyncFixture fx = make_async(4, small_options());
   // Identify fastest and slowest devices.
+  std::vector<double> speed(fx.cluster->size());
+  for (std::size_t c = 0; c < speed.size(); ++c) {
+    speed[c] = fx.cluster->lease(c)->profile().base_speed;
+  }
   std::size_t fast = 0, slow = 0;
-  for (std::size_t c = 0; c < fx.cluster->size(); ++c) {
-    if (fx.cluster->client(c).profile().base_speed >
-        fx.cluster->client(fast).profile().base_speed) {
-      fast = c;
-    }
-    if (fx.cluster->client(c).profile().base_speed <
-        fx.cluster->client(slow).profile().base_speed) {
-      slow = c;
-    }
+  for (std::size_t c = 0; c < speed.size(); ++c) {
+    if (speed[c] > speed[fast]) fast = c;
+    if (speed[c] < speed[slow]) slow = c;
   }
   const auto records = fx.engine->run_updates(60);
   std::size_t fast_count = 0, slow_count = 0;

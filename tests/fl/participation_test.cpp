@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "fl/experiment.hpp"
 #include "fl/scenario.hpp"
+#include "obs/trace.hpp"
 
 namespace fedca {
 namespace {
@@ -48,6 +50,28 @@ TEST(Participation, FractionSelectsSubsetEachRound) {
   // Over six rounds the roster rotates (selection is random, not fixed).
   EXPECT_GT(distinct_rosters.size(), 1u);
   EXPECT_GT(seen.size(), 4u);
+}
+
+// Trace metadata is cohort-scoped: a traced round names the server and the
+// clients it sampled, not the whole population.
+TEST(Participation, TraceNamesOnlyTheSampledCohort) {
+  obs::TraceCollector& tracer = obs::TraceCollector::global();
+  tracer.reset();
+  tracer.set_enabled(true);
+  fl::FedAvgScheme scheme;
+  fl::ExperimentOptions options = base_options();
+  options.participation_fraction = 0.5;
+  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+  const fl::RoundRecord record = setup.engine->run_round();
+  std::set<std::string> expected = {scheme.name() + "/server"};
+  for (const auto& c : record.clients) {
+    expected.insert(scheme.name() + "/client " + std::to_string(c.client_id));
+  }
+  std::set<std::string> named;
+  for (const auto& [pid, name] : tracer.process_names()) named.insert(name);
+  tracer.reset();
+  EXPECT_EQ(record.clients.size(), 4u);
+  EXPECT_EQ(named, expected);
 }
 
 TEST(Participation, CollectFractionAppliesToParticipants) {

@@ -272,11 +272,15 @@ TEST(RoundEngine, ConstructionValidation) {
   fl::FedAvgScheme scheme;
   fl::ExperimentOptions options = small_options();
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-  // Shard count mismatch.
-  std::vector<data::Dataset> wrong_shards(setup.shards.begin(), setup.shards.end() - 1);
-  EXPECT_THROW(fl::RoundEngine(setup.model.get(), setup.cluster.get(), wrong_shards,
-                               &scheme, fl::RoundEngineOptions{}, util::Rng(1)),
-               std::invalid_argument);
+  // The shard pool must hold between 1 and cluster-size shards: an empty
+  // pool and an oversized one both throw.
+  std::vector<data::Dataset> oversized = setup.shards;
+  oversized.push_back(setup.shards.front());
+  for (const auto& shards : {std::vector<data::Dataset>{}, oversized}) {
+    EXPECT_THROW(fl::RoundEngine(setup.model.get(), setup.cluster.get(), shards,
+                                 &scheme, fl::RoundEngineOptions{}, util::Rng(1)),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

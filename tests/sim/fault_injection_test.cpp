@@ -287,20 +287,22 @@ TEST(ClusterFaults, InstallRoutesComputeAndLinks) {
       sim::FaultSchedule(std::move(events)), 2);
 
   // Pre-install baselines.
-  const double base_compute = cluster.client(0).compute_finish(0.0, 4.0) - 0.0;
-  const double base_transfer =
-      cluster.client(1).uplink().peek_finish(0.0, 1e5);
+  const double base_compute = cluster.lease(0)->compute_finish(0.0, 4.0) - 0.0;
+  const double base_transfer = cluster.lease(1)->uplink().peek_finish(0.0, 1e5);
 
   cluster.install_faults(injector);
   EXPECT_EQ(cluster.faults(), injector);
 
-  // Client 0 computes 2x slower; client 1's uplink drains 2x slower
-  // (latency excepted, which is zero only in the bits term).
-  EXPECT_NEAR(cluster.client(0).compute_finish(0.0, 4.0), base_compute * 2.0, 1e-9);
-  EXPECT_GT(cluster.client(1).uplink().peek_finish(0.0, 1e5), base_transfer);
+  // Leases taken after install carry the faults. Client 0 computes 2x
+  // slower; client 1's uplink drains 2x slower (latency excepted, which is
+  // zero only in the bits term).
+  const sim::DeviceLease c0 = cluster.lease(0);
+  const sim::DeviceLease c1 = cluster.lease(1);
+  EXPECT_NEAR(c0->compute_finish(0.0, 4.0), base_compute * 2.0, 1e-9);
+  EXPECT_GT(c1->uplink().peek_finish(0.0, 1e5), base_transfer);
   // Client 0's links are untouched, client 1's compute is untouched.
-  EXPECT_FALSE(cluster.client(0).uplink().degraded());
-  EXPECT_TRUE(cluster.client(1).uplink().degraded());
+  EXPECT_FALSE(c0->uplink().degraded());
+  EXPECT_TRUE(c1->uplink().degraded());
 }
 
 TEST(ClusterFaults, NonFiniteComputeStartPassesThrough) {
@@ -308,7 +310,7 @@ TEST(ClusterFaults, NonFiniteComputeStartPassesThrough) {
   options.num_clients = 1;
   util::Rng rng(5);
   sim::Cluster cluster(options, rng);
-  EXPECT_EQ(cluster.client(0).compute_finish(kInf, 10.0), kInf);
+  EXPECT_EQ(cluster.lease(0)->compute_finish(kInf, 10.0), kInf);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Million-client machinery: registry-vs-legacy byte identity, availability
-// determinism across worker counts, outage marginal statistics, and
-// pooled-replica rebind identity.
+// Million-client machinery: registry-path determinism across worker counts,
+// availability outage marginal statistics, and pooled-replica rebind
+// identity.
 //
-// The compact ClientRegistry (sim/client_registry.hpp) is advertised as
-// bit-identical to the legacy one-live-device-per-client representation;
-// these tests hold it to that claim at the engine level (same global model
-// bytes, same rosters, same virtual clock) across worker counts {1, 2, 8},
+// A registry-backed run (sim/client_registry.hpp: POD records, devices
+// materialized per lease) must produce the same global model bytes, the
+// same rosters and the same virtual clock for worker counts {1, 2, 8},
 // with and without availability churn.
 #include <gtest/gtest.h>
 
@@ -23,8 +22,8 @@ namespace {
 
 // The paper's population size (128 clients) at CI-friendly training cost:
 // a 32-client sampled cohort, two local iterations, two rounds. Built
-// programmatically (not from a .scn) because the tests sweep a
-// compact x workers matrix over the same geometry.
+// programmatically (not from a .scn) because the tests sweep worker counts
+// over the same geometry.
 fl::ExperimentOptions scale_options() {
   fl::ExperimentOptions options;  // lint:scenario
   options.model = nn::ModelKind::kCnn;
@@ -101,18 +100,14 @@ void expect_identical(const RunFingerprint& a, const RunFingerprint& b,
   EXPECT_EQ(a.end_time, b.end_time) << what;
 }
 
-TEST(ScaleIdentity, RegistryMatchesLegacyAcrossWorkerCounts) {
+TEST(ScaleIdentity, RegistryIdenticalAcrossWorkerCounts) {
   const RunFingerprint reference = run_once(scale_options());
   ASSERT_EQ(reference.roster.size(), 64u);  // 2 rounds x 32-client cohort
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    for (const bool compact : {false, true}) {
-      fl::ExperimentOptions options = scale_options();
-      options.worker_threads = workers;
-      options.cluster.compact = compact;
-      const std::string what = std::string(compact ? "compact" : "legacy") +
-                               " workers=" + std::to_string(workers);
-      expect_identical(reference, run_once(options), what.c_str());
-    }
+    fl::ExperimentOptions options = scale_options();
+    options.worker_threads = workers;
+    expect_identical(reference, run_once(options),
+                     ("workers=" + std::to_string(workers)).c_str());
   }
 }
 
@@ -127,7 +122,6 @@ fl::ExperimentOptions churn_options() {
   options.max_rounds = 4;
   options.worker_threads = 1;
   options.seed = 53;
-  options.cluster.compact = true;
   auto& avail = options.cluster.availability;
   avail.enabled = true;
   avail.mean_on = 400.0;
@@ -141,7 +135,7 @@ fl::ExperimentOptions churn_options() {
   return options;
 }
 
-TEST(ScaleIdentity, AvailabilityIsDeterministicAcrossWorkersAndRepresentations) {
+TEST(ScaleIdentity, AvailabilityIsDeterministicAcrossWorkers) {
   const RunFingerprint reference = run_once(churn_options());
   // The seed must actually exercise churn, or the test proves nothing.
   std::size_t total_offline = 0;
@@ -149,17 +143,12 @@ TEST(ScaleIdentity, AvailabilityIsDeterministicAcrossWorkersAndRepresentations) 
   EXPECT_GT(total_offline, 0u) << "seed never took a client offline";
   for (const std::size_t n : reference.population) EXPECT_EQ(n, 24u);
 
-  for (const std::size_t workers : {2u, 8u}) {
+  for (const std::size_t workers : {1u, 2u, 8u}) {
     fl::ExperimentOptions options = churn_options();
     options.worker_threads = workers;
     expect_identical(reference, run_once(options),
                      ("churn workers=" + std::to_string(workers)).c_str());
   }
-  // Availability cursors live in registry records in compact mode and in a
-  // cluster-owned vector in legacy mode; both derive from the same streams.
-  fl::ExperimentOptions legacy = churn_options();
-  legacy.cluster.compact = false;
-  expect_identical(reference, run_once(legacy), "churn legacy cluster");
 }
 
 TEST(ScaleIdentity, RenewalMarginalMatchesStationaryProbability) {
@@ -234,27 +223,30 @@ TEST(ScaleIdentity, ReboundReplicaMatchesFreshDevice) {
   sim::ClusterOptions options;
   options.num_clients = 8;
 
-  util::Rng legacy_rng(5);
-  sim::Cluster legacy(options, legacy_rng);
-  options.compact = true;
-  util::Rng compact_rng(5);
-  sim::Cluster compact(options, compact_rng);
-
-  // Pass 1: materialize every compact client once (fills the replica pool).
+  // Reference: every lease held at once, so each one is a freshly created
+  // device (the pool is empty at every checkout).
+  util::Rng fresh_rng(5);
+  sim::Cluster fresh(options, fresh_rng);
+  std::vector<sim::DeviceLease> devices;
   for (std::size_t i = 0; i < options.num_clients; ++i) {
-    sim::DeviceLease lease = compact.lease(i);
+    devices.push_back(fresh.lease(i));
+  }
+
+  util::Rng pooled_rng(5);
+  sim::Cluster pooled(options, pooled_rng);
+  // Pass 1: one lease at a time, so every client after the first rebinds
+  // the replica the previous client returned.
+  for (std::size_t i = 0; i < options.num_clients; ++i) {
+    sim::DeviceLease lease = pooled.lease(i);
     EXPECT_EQ(lease->id(), i);
-    EXPECT_EQ(lease->compute_finish(0.0, 1.0),
-              legacy.client(i).compute_finish(0.0, 1.0))
+    EXPECT_EQ(lease->compute_finish(0.0, 1.0), devices[i]->compute_finish(0.0, 1.0))
         << "client " << i;
   }
-  // Pass 2: every lease now rebinds a pooled replica that served a
-  // *different* client in pass 1 (reverse order); behavior must still be
-  // bit-identical to the legacy device, including persisted timeline state.
+  // Pass 2: reverse order — each lease rebinds a replica that served a
+  // *different* client; behavior must still match the fresh device.
   for (std::size_t j = options.num_clients; j-- > 0;) {
-    sim::DeviceLease lease = compact.lease(j);
-    EXPECT_EQ(lease->compute_finish(10.0, 2.5),
-              legacy.client(j).compute_finish(10.0, 2.5))
+    sim::DeviceLease lease = pooled.lease(j);
+    EXPECT_EQ(lease->compute_finish(10.0, 2.5), devices[j]->compute_finish(10.0, 2.5))
         << "client " << j;
   }
 }

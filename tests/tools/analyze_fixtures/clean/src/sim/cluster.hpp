@@ -1,4 +1,4 @@
-// The seam file may own ClientDevice storage and expose client().
+// The seam file may own ClientDevice storage and hand devices out.
 #pragma once
 
 #include <vector>
@@ -11,7 +11,7 @@ struct ClientDevice {
 
 struct Cluster {
   std::vector<ClientDevice> devices;
-  ClientDevice& client(int id) { return devices[static_cast<size_t>(id)]; }
+  ClientDevice& device(int id) { return devices[static_cast<size_t>(id)]; }
 };
 
 }  // namespace fixture

@@ -29,7 +29,7 @@ struct Roster {
 };
 
 double poke(Cluster& cluster) {
-  auto& device = cluster.client(3);  // expect: device-seam
+  ClientDevice& device = cluster.device(3);  // expect: device-seam
   return device.weight;
 }
 

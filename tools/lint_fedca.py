@@ -151,8 +151,8 @@ RAW_INTRINSICS = re.compile(
 CLIENT_CONTAINER = re.compile(
     r"\b(?:vector|deque|list|array|map)\s*<[^;{}]*\bClientDevice\b")
 
-# The sanctioned seam: the legacy cluster representation and the compact
-# registry's lease pool are the only places allowed to own device storage.
+# The sanctioned seam: the cluster's lease pool and the client registry are
+# the only places allowed to own device storage.
 CLIENT_CONTAINER_SEAM = (
     "src/sim/cluster.hpp",
     "src/sim/cluster.cpp",

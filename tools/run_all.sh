@@ -95,9 +95,9 @@ if [ "${FEDCA_BENCH_OBS:-1}" != "0" ]; then
 fi
 
 # Scale bench: refresh BENCH_scale.json via the million-client harness
-# (compact-registry sweep at 1k/10k/100k/1M with rounds/sec + peak RSS,
-# legacy-vs-registry live client-state bytes at 100k; fails if the 1M sweep
-# exceeds 2 GB RSS or the live-bytes ratio drops below 100x).
+# (registry sweep at 1k/10k/100k/1M with rounds/sec + peak RSS, live
+# client-state bytes at 100k; fails if the 1M sweep exceeds 2 GB RSS or
+# live client state exceeds 373.1 B/client).
 # FEDCA_BENCH_SCALE=0 skips.
 if [ "${FEDCA_BENCH_SCALE:-1}" != "0" ]; then
   echo "===== scale bench ====="
