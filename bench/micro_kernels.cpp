@@ -287,7 +287,8 @@ BENCHMARK(BM_SpeedTimelineFinish);
 
 // End-to-end round throughput: wall-clock per FedAvg round (real local SGD
 // for every client) at the given worker count. Arg 0 = FEDCA_THREADS /
-// hardware default.
+// hardware default. UseRealTime: the rounds run on pool workers, so the
+// main thread's CPU time would overstate items_per_second.
 void BM_RoundThroughput(benchmark::State& state) {
   fl::ExperimentOptions options;
   options.model = nn::ModelKind::kCnn;
@@ -309,7 +310,11 @@ void BM_RoundThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(options.num_clients *
                                                     options.local_iterations));
 }
-BENCHMARK(BM_RoundThroughput)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundThroughput)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Same workload with the tensor buffer pool recycling every transient
 // buffer — steady-state rounds run with near-zero heap allocations.
@@ -338,7 +343,11 @@ void BM_RoundThroughputPooled(benchmark::State& state) {
   tensor::BufferPool::global().clear();
   tensor::BufferPool::configure_from_option(-1);
 }
-BENCHMARK(BM_RoundThroughputPooled)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundThroughputPooled)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -10,11 +10,12 @@ namespace fedca::analysis {
 
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
-      "layering",        "include-cycle",  "lock-order",
-      "lock-callback",   "raw-rng",        "unordered-iter",
-      "wall-clock",      "raw-tensor-alloc", "raw-intrinsics",
-      "client-container", "unordered-float-accum", "pointer-key",
-      "device-seam",
+      "layering",          "include-cycle",    "lock-order",
+      "lock-callback",     "raw-rng",          "unordered-iter",
+      "wall-clock",        "raw-tensor-alloc", "raw-intrinsics",
+      "client-container",  "unordered-float-accum", "pointer-key",
+      "device-seam",       "fast-math",        "float-accum",
+      "scenario-hardcode",
   };
   return kRules;
 }
@@ -30,20 +31,26 @@ std::vector<Finding> run_passes(const std::vector<SourceFile>& files,
 
   if (spec != nullptr) check_layering(files, *spec, findings);
 
-  LockSymbols syms;
-  for (const SourceFile& f : files) collect_callback_aliases(f, syms);
-  for (const SourceFile& f : files) collect_callback_invokers(f, syms);
-  for (const SourceFile& f : files) collect_mutex_names(f, syms);
-  std::vector<LockEdge> edges;
+  // Lock scopes and unordered-container tracking only matter in src/, and
+  // src/ cannot include anything outside it, so only src/ files feed their
+  // symbol tables (a test helper must not mark a src/ name).
+  std::vector<const SourceFile*> src_files;
   for (const SourceFile& f : files) {
-    if (f.rel_path.rfind("src/", 0) == 0) {
-      analyze_lock_scopes(f, syms, edges, findings);
-    }
+    if (f.rel_path.rfind("src/", 0) == 0) src_files.push_back(&f);
+  }
+
+  LockSymbols syms;
+  for (const SourceFile* f : src_files) collect_callback_aliases(*f, syms);
+  for (const SourceFile* f : src_files) collect_callback_invokers(*f, syms);
+  for (const SourceFile* f : src_files) collect_mutex_names(*f, syms);
+  std::vector<LockEdge> edges;
+  for (const SourceFile* f : src_files) {
+    analyze_lock_scopes(*f, syms, edges, findings);
   }
   check_lock_order(edges, findings);
 
   RuleContext ctx;
-  for (const SourceFile& f : files) collect_rule_context(f, ctx);
+  for (const SourceFile* f : src_files) collect_rule_context(*f, ctx);
   for (const SourceFile& f : files) analyze_rules(f, ctx, findings);
 
   return findings;
@@ -91,8 +98,7 @@ void apply_waivers(const std::vector<SourceFile>& files,
         kept.push_back(Finding{
             "waiver", path, s.line,
             "analyze:waive names unknown rule '" + s.rule +
-                "' — check --list-rules (lint waivers use their own "
-                "`lint:` tokens)"});
+                "' — check --list-rules"});
       } else if (s.uses == 0) {
         kept.push_back(Finding{
             "waiver", path, s.line,

@@ -37,8 +37,7 @@ void sort_findings(std::vector<Finding>& findings);
 
 // "file:line: [rule] message"
 std::string to_text(const Finding& f);
-// JSON array of {"rule","file","line","message"} objects — the same shape
-// tools/lint_fedca.py --json emits, so CI can diff the two uniformly.
+// JSON array of {"rule","file","line","message"} objects.
 std::string to_json(const std::vector<Finding>& findings);
 
 }  // namespace fedca::analysis

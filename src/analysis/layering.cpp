@@ -121,7 +121,7 @@ void check_layering(const std::vector<SourceFile>& files, const LayerSpec& spec,
   std::map<std::string, std::vector<Edge>> graph;  // src-file -> src-file edges
 
   for (const SourceFile& f : files) {
-    if (!starts_with(f.rel_path, "src/")) continue;
+    if (!starts_with(f.rel_path, "src/") || is_cmake_path(f.rel_path)) continue;
     const std::string from_layer = spec.layer_of(f.rel_path);
     if (from_layer.empty()) {
       add_finding(findings, "layering", f.rel_path, 1,

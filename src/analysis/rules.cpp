@@ -1,6 +1,7 @@
 #include "analysis/rules.hpp"
 
 #include <algorithm>
+#include <cctype>
 
 namespace fedca::analysis {
 
@@ -9,6 +10,11 @@ namespace {
 bool starts_with(const std::string& s, const char* prefix) {
   const std::size_t len = std::char_traits<char>::length(prefix);
   return s.size() >= len && s.compare(0, len, prefix) == 0;
+}
+
+bool ends_with(const std::string& s, const char* suffix) {
+  const std::size_t len = std::char_traits<char>::length(suffix);
+  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
 }
 
 bool in_dirs(const std::string& rel, std::initializer_list<const char*> dirs) {
@@ -156,6 +162,76 @@ void check_raw_intrinsics(const SourceFile& f, std::vector<Finding>& findings) {
                   "raw SIMD intrinsics header outside src/tensor/simd/ — "
                   "ISA-specific code belongs behind the dispatch tier "
                   "(tensor/simd/dispatch.hpp)");
+    }
+  }
+}
+
+// Value-changing FP flags: each lets the compiler reassociate the fixed
+// accumulation orders documented in tensor/ops.hpp. No waiver exists.
+void check_fast_math(const SourceFile& f, std::vector<Finding>& findings) {
+  static const char* const kFlags[] = {
+      "-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+      "-fassociative-math", "-freciprocal-math"};
+  for (std::size_t i = 0; i < f.cmake_lines.size(); ++i) {
+    for (const char* flag : kFlags) {
+      if (f.cmake_lines[i].find(flag) == std::string::npos) continue;
+      add_finding(findings, "fast-math", f.rel_path, static_cast<int>(i) + 1,
+                  std::string(flag) +
+                      " permits FP reassociation and breaks the fixed "
+                      "accumulation orders (tensor/ops.hpp contract); "
+                      "remove the flag");
+      break;
+    }
+  }
+}
+
+bool contains_ci(const std::string& s, const char* needle) {
+  std::string lower(s);
+  std::transform(lower.begin(), lower.end(), lower.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  return lower.find(needle) != std::string::npos;
+}
+
+// `float acc...` / `float ...sum...` declarations in a kernel file that
+// never says, in a comment, which association order it fixes. Double
+// accumulators cast to float at the end are the stronger pattern and do
+// not match.
+void check_float_accum(const SourceFile& f, std::vector<Finding>& findings) {
+  for (const auto& [line, text] : f.comments) {
+    if (contains_ci(text, "associat")) return;
+  }
+  int last_line = 0;
+  for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
+    const Token& name = f.tokens[i + 1];
+    if (!is_ident(f, i, "float") || name.kind != TokenKind::kIdent ||
+        name.line == last_line ||
+        !(contains_ci(name.text, "acc") || contains_ci(name.text, "sum"))) {
+      continue;
+    }
+    last_line = name.line;
+    add_finding(findings, "float-accum", f.rel_path, name.line,
+                "float accumulator '" + name.text +
+                    "' in a kernel file with no fixed-association comment — "
+                    "document the association order (see tensor/ops.hpp)");
+  }
+}
+
+// Default- or brace-initialized ExperimentOptions in a test: `Opts x;`,
+// `Opts x{...}`, `Opts x = {...}`. Copy-init from a loaded scenario or a
+// helper call is the sanctioned pattern.
+void check_scenario_hardcode(const SourceFile& f,
+                             std::vector<Finding>& findings) {
+  const std::size_t n = f.tokens.size();
+  for (std::size_t i = 0; i + 2 < n; ++i) {
+    if (!is_ident(f, i, "ExperimentOptions") ||
+        f.tokens[i + 1].kind != TokenKind::kIdent) {
+      continue;
+    }
+    if (is_punct(f, i + 2, ";") || is_punct(f, i + 2, "{") ||
+        (is_punct(f, i + 2, "=") && is_punct(f, i + 3, "{"))) {
+      add_finding(findings, "scenario-hardcode", f.rel_path, f.tokens[i].line,
+                  "hand-built ExperimentOptions in a test — load a committed "
+                  "scenarios/*.scn via fl::load_scenario_file instead");
     }
   }
 }
@@ -393,6 +469,10 @@ void collect_rule_context(const SourceFile& f, RuleContext& ctx) {
 void analyze_rules(const SourceFile& f, const RuleContext& ctx,
                    std::vector<Finding>& findings) {
   const std::string& rel = f.rel_path;
+  if (is_cmake_path(rel)) {
+    check_fast_math(f, findings);
+    return;
+  }
   const std::string base = basename_of(rel);
   const bool in_src = starts_with(rel, "src/");
 
@@ -406,8 +486,15 @@ void analyze_rules(const SourceFile& f, const RuleContext& ctx,
   if (starts_with(rel, "src/tensor/") && base != "pool.cpp") {
     check_raw_alloc(f, findings);
   }
+  if (in_dirs(rel, {"src/tensor/", "src/nn/"}) &&
+      (ends_with(base, ".cpp") || ends_with(base, ".cc"))) {
+    check_float_accum(f, findings);
+  }
   if (!starts_with(rel, "src/tensor/simd/")) {
     check_raw_intrinsics(f, findings);
+  }
+  if (starts_with(rel, "tests/")) {
+    check_scenario_hardcode(f, findings);
   }
   if (in_src) {
     check_pointer_key(f, findings);

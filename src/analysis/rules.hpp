@@ -1,11 +1,9 @@
-// Scope-aware determinism and seam rules.
+// Scope-aware determinism, seam, and build-flag rules.
 //
-// These subsume the regex linter's determinism rules (tools/lint_fedca.py)
-// with token-level matching: hits inside strings, char literals, and
+// Matching is token-level: hits inside strings, char literals, and
 // comments are impossible by construction (the lexer blanked them), and
-// container tracking follows type aliases and declared variable names
-// instead of raw lines. Rules (path scopes mirror the linter where a rule
-// exists there; see each check):
+// container tracking follows type aliases and declared variable names.
+// Rules and their path scopes:
 //
 //   raw-rng               std::rand/srand, time(nullptr) seeding,
 //                         std::random_device — src/, bench/, examples/
@@ -18,14 +16,13 @@
 //   raw-tensor-alloc      new[] / malloc-family — src/tensor minus
 //                         pool.cpp.
 //   raw-intrinsics        #include <immintrin.h>/<x86intrin.h>/<arm_neon.h>
-//                         outside src/tensor/simd/.
+//                         — every C++ file outside src/tensor/simd/.
 //   client-container      containers of ClientDevice outside the
 //                         cluster/registry seam — src/.
 //   unordered-float-accum float/double accumulation (`x +=`) inside a
 //                         range-for over an unordered container — src/.
 //                         The per-element order is hash-dependent AND the
-//                         FP sum is order-dependent: double trouble the
-//                         regex linter cannot see (it has no scopes).
+//                         FP sum is order-dependent.
 //   pointer-key           std::map/std::set keyed on a pointer type —
 //                         iteration order is allocation-order-dependent —
 //                         src/.
@@ -33,6 +30,16 @@
 //                         ClientDevice variable whose statement involves
 //                         no lease) — src/ minus the cluster/registry
 //                         seam.
+//   fast-math             -ffast-math, -Ofast, -funsafe-math-optimizations,
+//                         -fassociative-math, -freciprocal-math — every
+//                         CMakeLists.txt / *.cmake, `#` comments ignored.
+//                         Not waivable: CMake files carry no waivers.
+//   float-accum           `float` accumulator (name contains acc or sum) in
+//                         a file with no comment mentioning association —
+//                         src/tensor/**.cpp, src/nn/**.cpp.
+//   scenario-hardcode     default- or brace-initialized ExperimentOptions
+//                         (`x;`, `x{...}`, `x = {...}`) — tests/. Tests
+//                         load scenarios/*.scn instead.
 #pragma once
 
 #include <set>

@@ -110,6 +110,25 @@ std::size_t skip_template_args(const SourceFile& f, std::size_t open) {
   return open + 1;
 }
 
+bool is_cmake_path(const std::string& rel_path) {
+  const std::size_t slash = rel_path.rfind('/');
+  const std::string base =
+      slash == std::string::npos ? rel_path : rel_path.substr(slash + 1);
+  return base == "CMakeLists.txt" ||
+         (base.size() > 6 && base.compare(base.size() - 6, 6, ".cmake") == 0);
+}
+
+void lex_cmake(const std::string& text, SourceFile& f) {
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(begin, end - begin);
+    f.cmake_lines.push_back(line.substr(0, line.find('#')));
+    begin = end + 1;
+  }
+}
+
 void lex_source(const std::string& text, SourceFile& f) {
   const std::size_t n = text.size();
   std::size_t i = 0;

@@ -1,12 +1,14 @@
-// Lexed view of one C++ source file for fedca_analyze.
+// Lexed view of one source file for fedca_analyze.
 //
-// The regex linter (tools/lint_fedca.py) matches raw lines, so a rule name
-// inside a string literal or a commented-out snippet trips it. This lexer
-// strips comments, string literals, and char literals into placeholder
-// tokens *before* any rule runs, records every comment by line (waiver
-// extraction), and captures #include directives with their line numbers
-// (layering DAG edges). Preprocessor logical lines other than #include are
-// consumed whole — macro bodies are not analyzed.
+// C++ files: the lexer strips comments, string literals, and char literals
+// into placeholder tokens *before* any rule runs, so a rule name inside a
+// string or a commented-out snippet never matches. It records every
+// comment by line (waiver extraction) and captures #include directives
+// with their line numbers (layering DAG edges). Preprocessor logical lines
+// other than #include are consumed whole — macro bodies are not analyzed.
+//
+// CMake files (CMakeLists.txt, *.cmake) are kept as lines with their `#`
+// comments cut off; only the build-flag rule reads them.
 #pragma once
 
 #include <map>
@@ -46,11 +48,21 @@ struct SourceFile {
   // partner of an open/close paren or brace, or -1 when unbalanced.
   std::vector<int> paren_match;
   std::vector<int> brace_match;
+
+  // CMake files only: each line's text before its first `#`, indexed by
+  // line - 1. Empty for C++ files.
+  std::vector<std::string> cmake_lines;
 };
+
+// True for CMakeLists.txt and *.cmake paths.
+bool is_cmake_path(const std::string& rel_path);
 
 // Lexes `text` into `out` (rel_path must already be set). Also extracts
 // waivers from the comments and builds the bracket tables.
 void lex_source(const std::string& text, SourceFile& out);
+
+// Splits a CMake file into `out.cmake_lines`.
+void lex_cmake(const std::string& text, SourceFile& out);
 
 inline bool is_ident(const SourceFile& f, std::size_t i, const char* text) {
   return i < f.tokens.size() && f.tokens[i].kind == TokenKind::kIdent &&

@@ -103,7 +103,7 @@ RoundSummary summarize(const RoundRecord& record) {
   summary.end_time = record.end_time;
   summary.deadline = record.deadline;
   // Ordered map, not unordered: this is an output-affecting path (the
-  // summaries land in result tables), and the lint_fedca unordered-iter
+  // summaries land in result tables), and the analyzer's unordered-iter
   // rule bans hash containers here — lookup-only today is one range-for
   // away from hash-order output tomorrow. Size is O(participants), so the
   // tree map costs nothing measurable.

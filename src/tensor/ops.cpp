@@ -36,10 +36,6 @@ inline bool use_avx2() {
 #endif
 }
 
-#if defined(__ARM_NEON)
-inline bool use_neon() { return simd::active_tier() == simd::Tier::kNeon; }
-#endif
-
 }  // namespace
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
@@ -50,12 +46,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (use_avx2()) {
     simd::axpy_avx2(alpha, px, py, n);
-    return;
-  }
-#endif
-#if defined(__ARM_NEON)
-  if (use_neon()) {
-    simd::axpy_neon(alpha, px, py, n);
     return;
   }
 #endif
@@ -73,12 +63,6 @@ void scale(float alpha, std::span<float> y) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (use_avx2()) {
     simd::scale_avx2(alpha, py, n);
-    return;
-  }
-#endif
-#if defined(__ARM_NEON)
-  if (use_neon()) {
-    simd::scale_neon(alpha, py, n);
     return;
   }
 #endif
@@ -374,8 +358,8 @@ void pack_b(const float* b, std::size_t bs, bool b_trans, std::size_t k0,
 // destruction order observable; a one-time plain allocation already
 // achieves the pool's goal of zero steady-state heap traffic.
 struct GemmScratch {
-  std::vector<float> ap = std::vector<float>(kMc * kKc);  // lint:alloc
-  std::vector<float> bp = std::vector<float>(kKc * kNc);  // lint:alloc
+  std::vector<float> ap = std::vector<float>(kMc * kKc);
+  std::vector<float> bp = std::vector<float>(kKc * kNc);
 };
 
 // C rows [i0, i1) of C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed

@@ -2,10 +2,10 @@
 //
 // The tensor kernels (ops.cpp) ship in two implementations: the portable
 // blocked scalar kernels (auto-vectorized by the compiler) and explicit
-// vector kernels (AVX2+FMA on x86-64, a NEON stub elsewhere) compiled into
-// per-ISA translation units under src/tensor/simd/. Which implementation
-// runs is decided once per process from CPUID plus the FEDCA_SIMD
-// environment variable:
+// vector kernels (AVX2+FMA and AVX-512F on x86-64; other hosts run the
+// scalar tier) compiled into per-ISA translation units under
+// src/tensor/simd/. Which implementation runs is decided once per process
+// from CPUID plus the FEDCA_SIMD environment variable:
 //
 //   FEDCA_SIMD=auto    (default) best supported vector tier, else scalar
 //   FEDCA_SIMD=avx512  AVX2 span kernels + AVX-512F GEMM microkernel;
@@ -26,8 +26,7 @@ namespace fedca::tensor::simd {
 enum class Tier {
   kScalar = 0,  // portable blocked kernels in ops.cpp
   kAvx2 = 1,    // explicit AVX2+FMA kernels (x86-64)
-  kNeon = 2,    // NEON stub (aarch64; currently forwards to scalar)
-  kAvx512 = 3,  // AVX2 span kernels + AVX-512F GEMM microkernel
+  kAvx512 = 2,  // AVX2 span kernels + AVX-512F GEMM microkernel
 };
 
 // The tier every dispatched kernel uses. Resolved on first use from

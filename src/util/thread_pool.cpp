@@ -15,10 +15,10 @@ namespace {
 // Task-latency observer timestamps. The observer measures *real*
 // queue/run latency (threadpool.queue_seconds / run_seconds), which is
 // host-clock work by definition — a sanctioned exception to the
-// virtual-clock discipline the wall-clock lint rule enforces.
+// virtual-clock discipline the analyzer's wall-clock rule enforces.
 double observer_now_seconds() {
   return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())  // lint:wallclock analyze:waive(wall-clock)
+             std::chrono::steady_clock::now().time_since_epoch())  // analyze:waive(wall-clock)
       .count();
 }
 

@@ -144,7 +144,7 @@ TEST(ParallelDeterminism, SimdTierSweepMatchesScalarAcrossWorkerCounts) {
 // ORDERED map keyed by client id, so the summary table is byte-identical
 // across worker counts. Before the fix the intermediate container was
 // unordered — lookup-only, but one refactor away from hash-order output
-// (exactly what the lint_fedca unordered-iter rule now rejects).
+// (exactly what the analyzer's unordered-iter rule now rejects).
 TEST(ParallelDeterminism, ExperimentSummaryCollectionStableAcrossWorkers) {
   fl::ExperimentOptions options = parallel_base_options();
 

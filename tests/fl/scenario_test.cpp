@@ -23,7 +23,7 @@ constexpr const char* kMinimal = "[scenario]\nversion = 1\n";
 
 TEST(ScenarioBinding, MinimalFileYieldsDefaults) {
   const fl::Scenario sc = fl::parse_scenario(kMinimal);
-  const fl::ExperimentOptions defaults;  // lint:scenario (defaults probe)
+  const fl::ExperimentOptions defaults;  // analyze:waive(scenario-hardcode) defaults probe
   EXPECT_EQ(sc.scheme, "fedavg");
   EXPECT_FALSE(sc.async_engine);
   EXPECT_EQ(sc.options.num_clients, defaults.num_clients);

@@ -25,7 +25,7 @@ namespace {
 // programmatically (not from a .scn) because the tests sweep worker counts
 // over the same geometry.
 fl::ExperimentOptions scale_options() {
-  fl::ExperimentOptions options;  // lint:scenario
+  fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
   options.model = nn::ModelKind::kCnn;
   options.num_clients = 128;
   options.train_samples = 1280;
@@ -112,7 +112,7 @@ TEST(ScaleIdentity, RegistryIdenticalAcrossWorkerCounts) {
 }
 
 fl::ExperimentOptions churn_options() {
-  fl::ExperimentOptions options;  // lint:scenario
+  fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
   options.model = nn::ModelKind::kCnn;
   options.num_clients = 24;
   options.train_samples = 240;

@@ -203,7 +203,6 @@ TEST(SimdDispatch, TierNamesAndOverride) {
   EXPECT_STREQ(simd::tier_name(simd::Tier::kScalar), "scalar");
   EXPECT_STREQ(simd::tier_name(simd::Tier::kAvx2), "avx2");
   EXPECT_STREQ(simd::tier_name(simd::Tier::kAvx512), "avx512");
-  EXPECT_STREQ(simd::tier_name(simd::Tier::kNeon), "neon");
   // Forcing scalar always sticks (it needs no CPU support)...
   simd::set_tier_for_testing(simd::Tier::kScalar);
   EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);

@@ -7,6 +7,8 @@
 namespace fixture {
 
 // std::rand() in a comment is documentation, not a call.
+// The AVX2 path (#include <immintrin.h>) lives in src/tensor/simd/.
+// Legacy engines held a std::vector<ClientDevice> here.
 std::string doc() {
   // steady_clock::now() — also just prose.
   return "std::rand() and srand(7) and new float[8] and malloc(4)";

@@ -5,13 +5,17 @@ Three contracts:
   1. The `violations` fixture tree produces EXACTLY the findings its files
      mark with `expect: rule[, rule...]` trailing comments — same rule,
      same file, same line, nothing extra — and exit code 1.
+     Text mode prints the same findings as "file:line: [rule] message".
   2. The `clean` fixture tree (negatives: strings/comments, sanctioned
-     paths, correct waiver use, lease-seam access) produces zero findings
-     and exit code 0.
+     paths, rule scope edges, correct waiver use, lease-seam access)
+     produces zero findings and exit code 0.
   3. The CLI contract: --json emits a parseable array of
-     {rule, file, line, message}; a missing compile_commands.json or an
-     unreadable spec exits 2; --list-rules names every rule the fixtures
-     exercise.
+     {rule, file, line, message}; a missing root, a missing
+     compile_commands.json or an unreadable spec exits 2; --list-rules
+     names every rule the fixtures exercise.
+
+`expect:` markers are read from C++ sources and from CMake files
+(CMakeLists.txt, *.cmake).
 """
 
 import argparse
@@ -24,12 +28,18 @@ import sys
 EXPECT_RE = re.compile(r"expect:\s*([a-z][a-z-]*(?:\s*,\s*[a-z][a-z-]*)*)")
 
 
+def is_scanned(name):
+    """C++ sources and CMake files: the two kinds fedca_analyze reads."""
+    return name.endswith((".cpp", ".hpp", ".cc", ".h", ".cmake")) or \
+        name == "CMakeLists.txt"
+
+
 def expected_findings(root):
     """(rule, relpath, line) triples from `expect:` markers in the tree."""
     expected = set()
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in sorted(filenames):
-            if not name.endswith((".cpp", ".hpp", ".cc", ".h")):
+            if not is_scanned(name):
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root).replace(os.sep, "/")
@@ -85,6 +95,12 @@ def check_violations(analyzer, fixtures):
         fail("violations tree: finding set mismatch\n" + "\n".join(lines))
     if len(actual) != len(findings):
         fail("violations tree: duplicate (rule, file, line) finding emitted")
+    # Text mode prints the same findings as "file:line: [rule] message".
+    text = run(analyzer, ["--root", root, "--spec", spec])
+    for entry in findings:
+        prefix = "%s:%d: [%s] " % (entry["file"], entry["line"], entry["rule"])
+        if prefix + entry["message"] not in text.stdout.splitlines():
+            fail("text output lacks finding %r" % prefix)
     print("ok: violations tree — %d findings, all expected" % len(findings))
     return {rule for rule, _rel, _line in expected}
 
@@ -113,6 +129,10 @@ def check_cli_contract(analyzer, fixtures, rules_used):
     proc = run(analyzer, ["--root", root, "--spec", os.path.join(root, "no.spec")])
     if proc.returncode != 2:
         fail("unreadable spec: expected exit 2, got %d" % proc.returncode)
+    # Missing root directory.
+    proc = run(analyzer, ["--root", os.path.join(root, "no_such_root")])
+    if proc.returncode != 2:
+        fail("missing root: expected exit 2, got %d" % proc.returncode)
     # Unknown flag.
     proc = run(analyzer, ["--bogus"])
     if proc.returncode != 2:

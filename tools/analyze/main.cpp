@@ -1,18 +1,21 @@
-// fedca_analyze — semantic whole-tree analyzer for the FedCA reproduction.
+// fedca_analyze — whole-tree static analyzer for the FedCA reproduction.
 //
-// Third tier of the static-analysis stack (clang -Wthread-safety, the
-// clang-tidy gate, and this): a C++17 lexer over the whole tree builds an
-// include/layering DAG checked against tools/analyze/layers.spec, a
-// lock-order graph from util::MutexLock scopes and FEDCA_* annotations,
-// and scope-aware determinism/seam rules the regex linter
-// (tools/lint_fedca.py) cannot express. Zero external dependencies; runs
-// in well under a second over the ~200-file tree.
+// A C++17 lexer over the whole tree builds an include/layering DAG checked
+// against tools/analyze/layers.spec, a lock-order graph from
+// util::MutexLock scopes and FEDCA_* annotations, and scope-aware
+// determinism, seam, and build-flag rules (see --list-rules and
+// src/analysis/rules.hpp), all behind one waiver syntax (`analyze:waive`,
+// see src/analysis/analyzer.hpp). Zero external dependencies; runs in
+// well under a second over the tree.
 //
 // Usage:
 //   fedca_analyze --root DIR [--build DIR] [--spec FILE] [--json]
 //                 [--list-rules]
 //
-//   --root DIR    repo root to analyze (walks src/, bench/, examples/)
+//   --root DIR    repo root to analyze: C++ and CMake files under src/,
+//                 bench/, examples/, tests/, tools/, perfbench/, cmake/
+//                 (minus the analyzer's own fixture trees) and the CMake
+//                 files at the root
 //   --build DIR   build tree; DIR/compile_commands.json is REQUIRED when
 //                 this flag is given (exit 2 if missing) and contributes
 //                 any first-party TU the walk would miss (generated files)
@@ -45,6 +48,22 @@ namespace {
 bool has_cxx_ext(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
+}
+
+// First-party trees the analyzer owns (`cmake/` holds shared *.cmake
+// modules when a checkout has any). The fixture trees are seeded with
+// violations on purpose; tests/tools/fedca_analyze_test.py runs them.
+constexpr const char* kWalkDirs[] = {"src",   "bench", "examples", "tests",
+                                     "tools", "perfbench", "cmake"};
+constexpr const char* kFixtureDir = "tests/tools/analyze_fixtures/";
+
+bool in_walk(const std::string& rel) {
+  if (rel.rfind(kFixtureDir, 0) == 0) return false;
+  for (const char* dir : kWalkDirs) {
+    const std::string prefix = std::string(dir) + "/";
+    if (rel.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
 }
 
 bool read_file(const fs::path& path, std::string& out) {
@@ -168,13 +187,18 @@ int main(int argc, char** argv) {
   // File set: walk the first-party trees, then fold in compile-database
   // TUs (catches generated sources the walk cannot know about).
   std::set<std::string> rel_paths;
-  for (const char* dir : {"src", "bench", "examples"}) {
+  for (const fs::directory_entry& entry : fs::directory_iterator(root)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && is_cmake_path(name)) rel_paths.insert(name);
+  }
+  for (const char* dir : kWalkDirs) {
     const fs::path top = root / dir;
     if (!fs::is_directory(top)) continue;
     for (fs::recursive_directory_iterator it(top), end; it != end; ++it) {
-      if (it->is_regular_file() && has_cxx_ext(it->path())) {
-        const std::string rel = rel_to_root(it->path(), root);
-        if (!rel.empty()) rel_paths.insert(rel);
+      if (!it->is_regular_file()) continue;
+      const std::string rel = rel_to_root(it->path(), root);
+      if (in_walk(rel) && (has_cxx_ext(it->path()) || is_cmake_path(rel))) {
+        rel_paths.insert(rel);
       }
     }
   }
@@ -191,11 +215,7 @@ int main(int argc, char** argv) {
       const fs::path p = fs::weakly_canonical(file, ec);
       if (ec) continue;
       const std::string rel = rel_to_root(p, root);
-      if (rel.empty() || !has_cxx_ext(p)) continue;
-      if (rel.rfind("src/", 0) == 0 || rel.rfind("bench/", 0) == 0 ||
-          rel.rfind("examples/", 0) == 0) {
-        rel_paths.insert(rel);
-      }
+      if (has_cxx_ext(p) && in_walk(rel)) rel_paths.insert(rel);
     }
   }
 
@@ -229,7 +249,11 @@ int main(int argc, char** argv) {
     }
     SourceFile f;
     f.rel_path = rel;
-    lex_source(text, f);
+    if (is_cmake_path(rel)) {
+      lex_cmake(text, f);
+    } else {
+      lex_source(text, f);
+    }
     files.push_back(std::move(f));
   }
 

@@ -33,9 +33,17 @@ BASELINE_NS = {
     "BM_CnnTrainingIteration": 3910746,
 }
 
+# google-benchmark reports real_time in each row's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|GemmParallel|Axpy|Dot|L2Norm|Scale|"
           "BiasAdd|RowSum|ConvForward|ConvBackward|StatisticalProgress|"
           "CnnTrainingIteration|RoundThroughput)")
+
+
+def real_time_ns(bench: dict) -> float:
+    """A benchmark row's real_time converted to nanoseconds."""
+    return bench["real_time"] * NS_PER_UNIT[bench.get("time_unit", "ns")]
 
 
 def main() -> int:
@@ -84,7 +92,7 @@ def main() -> int:
             continue
         name = bench["name"]
         after[name] = {
-            "real_time_ns": round(bench["real_time"], 1),
+            "real_time_ns": round(real_time_ns(bench), 1),
             "items_per_second": bench.get("items_per_second"),
         }
 

@@ -5,46 +5,41 @@
 set -u
 cd "$(dirname "$0")/.."
 
-# Static analysis first — cheapest stage, fails fastest. The invariant
-# linter (pure python) always runs and any finding fails the pass. When
-# clang is available the clang-tidy baseline gate and a clang build with
-# -Werror=thread-safety (FEDCA_STATIC_ANALYSIS=ON) run too; on the
-# gcc-only container those sub-stages print SKIP. FEDCA_LINT=0 skips the
-# whole stage.
-if [ "${FEDCA_LINT:-1}" != "0" ]; then
-  echo "===== lint =====" | tee /root/repo/lint_output.txt
-  python3 tools/lint_fedca.py 2>&1 | tee -a /root/repo/lint_output.txt || exit 1
-  python3 tools/run_clang_tidy.py --build-dir build 2>&1 \
-    | tee -a /root/repo/lint_output.txt || exit 1
-  if command -v clang++ >/dev/null 2>&1; then
-    echo "--- thread-safety build (clang) ---" | tee -a /root/repo/lint_output.txt
-    cmake -B build-sa -S . -DCMAKE_CXX_COMPILER=clang++ \
-      -DFEDCA_STATIC_ANALYSIS=ON >>/root/repo/lint_output.txt 2>&1 &&
-    cmake --build build-sa -j "$(nproc)" >>/root/repo/lint_output.txt 2>&1 \
-      || { echo "thread-safety build FAILED (see lint_output.txt)"; exit 1; }
-  else
-    echo "--- thread-safety build: SKIP (no clang++) ---" \
-      | tee -a /root/repo/lint_output.txt
-  fi
-fi
-
-# Semantic analyzer: the token-level static-analysis tier (include/layering
-# DAG against tools/analyze/layers.spec, lock-order graph + callbacks-under-
-# lock, scope-aware determinism/seam rules). Unlike the regex linter above
-# it folds in the build's compile_commands.json, so a missing database is a
-# configuration error (the binary exits 2), not a silent skip.
-# FEDCA_ANALYZE=0 skips the stage.
+# Static analysis first — cheapest stage, fails fastest. One stage, three
+# gates, all writing to analyze_output.txt:
+#   1. fedca_analyze (C++, built with the tree, needs neither python nor
+#      clang): layering DAG against tools/analyze/layers.spec, lock-order
+#      graph and callbacks under locks, determinism/seam rules, and the
+#      fast-math build-flag rule; any finding fails the pass. It folds in
+#      build/compile_commands.json, so a missing database is a
+#      configuration error (the binary exits 2), not a silent skip.
+#   2. the clang-tidy baseline gate (prints SKIP without clang-tidy);
+#   3. a clang build with -Werror=thread-safety (FEDCA_STATIC_ANALYSIS=ON;
+#      prints SKIP without clang++).
+# FEDCA_ANALYZE=0 skips the whole stage.
 if [ "${FEDCA_ANALYZE:-1}" != "0" ]; then
-  echo "===== analyze =====" | tee /root/repo/analyze_output.txt
+  echo "===== analyze =====" | tee analyze_output.txt
   cmake --build build --target fedca_analyze -j "$(nproc)" \
-    >>/root/repo/analyze_output.txt 2>&1 \
+    >>analyze_output.txt 2>&1 \
     || { echo "fedca_analyze build FAILED (see analyze_output.txt)"; exit 1; }
   # No pipefail in sh: capture the analyzer's own status, then echo.
   build/tools/analyze/fedca_analyze --root . --build build \
-    --spec tools/analyze/layers.spec >/root/repo/analyze_findings.txt 2>&1
+    --spec tools/analyze/layers.spec >analyze_findings.txt 2>&1
   analyze_status=$?
-  cat /root/repo/analyze_findings.txt | tee -a /root/repo/analyze_output.txt
+  tee -a analyze_output.txt <analyze_findings.txt
   [ "$analyze_status" -eq 0 ] || exit "$analyze_status"
+  python3 tools/run_clang_tidy.py --build-dir build 2>&1 \
+    | tee -a analyze_output.txt || exit 1
+  if command -v clang++ >/dev/null 2>&1; then
+    echo "--- thread-safety build (clang) ---" | tee -a analyze_output.txt
+    cmake -B build-sa -S . -DCMAKE_CXX_COMPILER=clang++ \
+      -DFEDCA_STATIC_ANALYSIS=ON >>analyze_output.txt 2>&1 &&
+    cmake --build build-sa -j "$(nproc)" >>analyze_output.txt 2>&1 \
+      || { echo "thread-safety build FAILED (see analyze_output.txt)"; exit 1; }
+  else
+    echo "--- thread-safety build: SKIP (no clang++) ---" \
+      | tee -a analyze_output.txt
+  fi
 fi
 
 ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
