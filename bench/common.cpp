@@ -167,24 +167,12 @@ class RecordingScheme::RecordingPolicy : public fl::ClientPolicy {
 RecordingScheme::RecordingScheme(std::size_t layer_cap, std::uint64_t seed)
     : layer_cap_(layer_cap), seed_(seed) {}
 
-RecordingScheme::~RecordingScheme() = default;
-
-void RecordingScheme::bind(std::size_t num_clients, std::size_t nominal_iterations) {
-  Scheme::bind(num_clients, nominal_iterations);
-  util::Rng root(seed_);
-  policies_.clear();
-  policies_.reserve(num_clients);
-  for (std::size_t c = 0; c < num_clients; ++c) {
-    policies_.push_back(std::make_unique<RecordingPolicy>(layer_cap_, root.fork(c)));
-  }
-}
-
-fl::ClientPolicy& RecordingScheme::client_policy(std::size_t client_id) {
-  return *policies_.at(client_id);
+std::unique_ptr<fl::ClientPolicy> RecordingScheme::make_policy(std::size_t client_id) {
+  return std::make_unique<RecordingPolicy>(layer_cap_, util::Rng(seed_).fork(client_id));
 }
 
 const std::vector<RoundCurves>& RecordingScheme::history(std::size_t client_id) const {
-  return policies_.at(client_id)->history();
+  return static_cast<const RecordingPolicy&>(created_policy(client_id)).history();
 }
 
 }  // namespace fedca::bench

@@ -65,20 +65,18 @@ struct RoundCurves {
 class RecordingScheme : public fl::Scheme {
  public:
   RecordingScheme(std::size_t layer_cap, std::uint64_t seed);
-  ~RecordingScheme() override;
 
   std::string name() const override { return "Recording"; }
-  void bind(std::size_t num_clients, std::size_t nominal_iterations) override;
-  fl::ClientPolicy& client_policy(std::size_t client_id) override;
+  std::unique_ptr<fl::ClientPolicy> make_policy(std::size_t client_id) override;
 
-  // All rounds profiled so far for `client_id`, in order.
+  // All rounds profiled so far for `client_id`, in order; throws
+  // std::out_of_range for a client that never participated.
   const std::vector<RoundCurves>& history(std::size_t client_id) const;
 
  private:
   class RecordingPolicy;
   std::size_t layer_cap_;
   std::uint64_t seed_;
-  std::vector<std::unique_ptr<RecordingPolicy>> policies_;
 };
 
 }  // namespace fedca::bench

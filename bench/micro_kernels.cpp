@@ -2,8 +2,8 @@
 // GEMM in all three transpose variants (local SGD), the retained naive
 // references (before/after comparison), the pool-parallel GEMM path, span
 // kernels, the fused dense-layer helpers, conv2d forward/backward,
-// statistical progress (Eq. 1), profiler recording, link/event-queue
-// throughput, speed-timeline integration, and end-to-end round throughput.
+// statistical progress (Eq. 1), profiler recording, link throughput,
+// speed-timeline integration, and end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include "core/progress.hpp"
@@ -17,7 +17,6 @@
 #include "nn/models.hpp"
 #include "bench/common.hpp"
 #include "tensor/pool.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd/dispatch.hpp"
@@ -248,20 +247,6 @@ void BM_CnnTrainingIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CnnTrainingIteration);
-
-void BM_EventQueueThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int sink = 0;
-    for (int i = 0; i < 1024; ++i) {
-      q.schedule(static_cast<double>((i * 37) % 997), [&sink] { ++sink; });
-    }
-    q.run_until_empty();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_EventQueueThroughput);
 
 void BM_LinkTransmit(benchmark::State& state) {
   sim::Link link(13.7);

@@ -13,6 +13,9 @@
 //                  population of `clients` after two sampled rounds, and
 //                  report it per client.
 //
+// Both modes train with FedCA, whose per-client policies are the scheme
+// state a population-sized table would show in peak RSS.
+//
 // Prints one JSON object on stdout; tools/bench_scale.py drives the sweep
 // at 1k/10k/100k/1M and writes BENCH_scale.json.
 #include <sys/resource.h>
@@ -21,10 +24,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "bench/common.hpp"
+#include "core/factory.hpp"
 #include "fl/experiment.hpp"
-#include "fl/scheme.hpp"
 #include "tensor/simd/dispatch.hpp"
 
 namespace {
@@ -70,8 +74,8 @@ int run_sweep(const util::Config& config) {
                         : static_cast<double>(cohort) / static_cast<double>(clients);
   options.cluster.availability.enabled = config.get_int("availability", 1) != 0;
 
-  fl::FedAvgScheme scheme;
-  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+  const std::unique_ptr<fl::Scheme> scheme = core::make_scheme("fedca", config, options.seed);
+  fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
 
   // One untimed round to populate replica free lists and pool buckets.
   setup.engine->run_round();
@@ -90,11 +94,12 @@ int run_sweep(const util::Config& config) {
 
   std::printf(
       "{\"build_type\":\"%s\",\"simd_tier\":\"%s\",\"mode\":\"sweep\","
-      "\"clients\":%zu,\"rounds\":%zu,\"cohort\":%zu,"
+      "\"scheme\":\"%s\",\"clients\":%zu,\"rounds\":%zu,\"cohort\":%zu,"
       "\"availability\":%d,\"participants\":%zu,\"offline_skips\":%zu,"
       "\"rounds_per_sec\":%.4f,\"wall_seconds\":%.4f,"
       "\"live_client_bytes\":%zu,\"peak_rss_bytes\":%zu}\n",
-      bench::build_type(), tensor::simd::active_tier_name(), clients, rounds,
+      bench::build_type(), tensor::simd::active_tier_name(), scheme->name().c_str(),
+      clients, rounds,
       cohort, options.cluster.availability.enabled ? 1 : 0, participants, offline,
       static_cast<double>(rounds) / seconds, seconds,
       live_client_state_bytes(setup), peak_rss_bytes());
@@ -113,17 +118,18 @@ int run_live_bytes(const util::Config& config) {
   options.participation_fraction =
       clients <= cohort ? 1.0
                         : static_cast<double>(cohort) / static_cast<double>(clients);
-  fl::FedAvgScheme scheme;
-  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+  const std::unique_ptr<fl::Scheme> scheme = core::make_scheme("fedca", config, options.seed);
+  fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
   setup.engine->run_round();
   setup.engine->run_round();
   const std::size_t registry_bytes = live_client_state_bytes(setup);
 
   std::printf(
       "{\"build_type\":\"%s\",\"simd_tier\":\"%s\",\"mode\":\"live_bytes\","
-      "\"clients\":%zu,\"cohort\":%zu,\"registry_bytes\":%zu,"
+      "\"scheme\":\"%s\",\"clients\":%zu,\"cohort\":%zu,\"registry_bytes\":%zu,"
       "\"registry_bytes_per_client\":%.1f,\"peak_rss_bytes\":%zu}\n",
-      bench::build_type(), tensor::simd::active_tier_name(), clients, cohort,
+      bench::build_type(), tensor::simd::active_tier_name(), scheme->name().c_str(),
+      clients, cohort,
       registry_bytes,
       static_cast<double>(registry_bytes) / static_cast<double>(clients),
       peak_rss_bytes());

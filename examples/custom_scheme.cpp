@@ -6,6 +6,21 @@
 // when their batch loss plateaus — no statistical-progress machinery —
 // and races it against FedAvg and FedCA on the same workload.
 //
+// Writing a scheme takes two classes:
+//   * a fl::ClientPolicy subclass holding one client's state across rounds
+//     and overriding the hooks it needs (on_round_start, after_iteration,
+//     select_retransmissions, on_round_end);
+//   * a fl::Scheme subclass whose make_policy(client_id) returns a new
+//     policy for that client. The scheme calls it the first time the
+//     client participates and keeps the policy for later rounds, so state
+//     exists only for clients that trained. A policy that draws random
+//     numbers should seed them from the client id (e.g.
+//     util::Rng(seed).fork(client_id)), never from a shared stream, so the
+//     order in which clients first participate changes nothing.
+// Server-side knobs are optional overrides: plan_round (deadline),
+// planned_iterations (per-client budget), local_optimizer,
+// observe_round and make_compressor.
+//
 // Usage: custom_scheme [key=value ...]
 #include <cmath>
 #include <iostream>
@@ -63,28 +78,19 @@ class LossPlateauPolicy : public fl::ClientPolicy {
 };
 
 // Server half: stock planning (full workload, no deadline), one policy
-// per client.
+// per participating client.
 class LossPlateauScheme : public fl::Scheme {
  public:
   explicit LossPlateauScheme(double plateau_ratio) : plateau_ratio_(plateau_ratio) {}
 
   std::string name() const override { return "LossPlateau"; }
 
-  void bind(std::size_t num_clients, std::size_t nominal_iterations) override {
-    Scheme::bind(num_clients, nominal_iterations);
-    policies_.clear();
-    for (std::size_t c = 0; c < num_clients; ++c) {
-      policies_.push_back(std::make_unique<LossPlateauPolicy>(plateau_ratio_));
-    }
-  }
-
-  fl::ClientPolicy& client_policy(std::size_t client_id) override {
-    return *policies_.at(client_id);
+  std::unique_ptr<fl::ClientPolicy> make_policy(std::size_t /*client_id*/) override {
+    return std::make_unique<LossPlateauPolicy>(plateau_ratio_);
   }
 
  private:
   double plateau_ratio_;
-  std::vector<std::unique_ptr<LossPlateauPolicy>> policies_;
 };
 
 }  // namespace

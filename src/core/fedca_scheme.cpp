@@ -39,25 +39,15 @@ std::string FedCaScheme::name() const {
   return base;
 }
 
-void FedCaScheme::bind(std::size_t num_clients, std::size_t nominal_iterations) {
-  Scheme::bind(num_clients, nominal_iterations);
-  util::Rng root(seed_);
-  policies_.clear();
-  policies_.reserve(num_clients);
-  for (std::size_t c = 0; c < num_clients; ++c) {
-    policies_.push_back(
-        std::make_unique<FedCaClientPolicy>(options_, root.fork(0xCA << 8 | c)));
-  }
-}
-
-fl::RoundPlan FedCaScheme::plan_round(std::size_t round_index) {
-  fl::RoundPlan plan = Scheme::plan_round(round_index);
+fl::RoundPlan FedCaScheme::plan_round(std::size_t /*round_index*/) {
+  fl::RoundPlan plan;
   plan.deadline = deadline_.estimate();
   return plan;
 }
 
-fl::ClientPolicy& FedCaScheme::client_policy(std::size_t client_id) {
-  return *policies_.at(client_id);
+std::unique_ptr<fl::ClientPolicy> FedCaScheme::make_policy(std::size_t client_id) {
+  return std::make_unique<FedCaClientPolicy>(options_,
+                                             util::Rng(seed_).fork(0xCA << 8 | client_id));
 }
 
 void FedCaScheme::observe_round(const fl::RoundRecord& record) {
@@ -73,7 +63,7 @@ void FedCaScheme::observe_round(const fl::RoundRecord& record) {
 }
 
 const FedCaClientPolicy& FedCaScheme::policy(std::size_t client_id) const {
-  return *policies_.at(client_id);
+  return static_cast<const FedCaClientPolicy&>(created_policy(client_id));
 }
 
 }  // namespace fedca::core

@@ -31,14 +31,14 @@ class FedCaScheme : public fl::Scheme {
               std::uint64_t seed = 1);
 
   std::string name() const override;
-  void bind(std::size_t num_clients, std::size_t nominal_iterations) override;
   fl::RoundPlan plan_round(std::size_t round_index) override;
-  fl::ClientPolicy& client_policy(std::size_t client_id) override;
+  std::unique_ptr<fl::ClientPolicy> make_policy(std::size_t client_id) override;
   void observe_round(const fl::RoundRecord& record) override;
 
   FedCaVariant variant() const { return variant_; }
   const FedCaOptions& options() const { return options_; }
-  // Per-client policy access for tests/benches (profiler introspection).
+  // Per-client policy access for tests/benches (profiler introspection);
+  // throws std::out_of_range for a client that never participated.
   const FedCaClientPolicy& policy(std::size_t client_id) const;
 
  private:
@@ -46,7 +46,6 @@ class FedCaScheme : public fl::Scheme {
   FedCaVariant variant_;
   std::uint64_t seed_;
   fl::DeadlineEstimator deadline_;
-  std::vector<std::unique_ptr<FedCaClientPolicy>> policies_;
 };
 
 }  // namespace fedca::core

@@ -17,24 +17,10 @@
 namespace fedca::fl {
 
 // Quota of the earliest-arrival rule: ceil(fraction * quota_base),
-// clamped to at least 1 (fraction itself clamped to (0, 1]). Must match
-// select_earliest's internal computation exactly.
+// clamped to at least 1 (fraction itself clamped to (0, 1]). quota_base is
+// the *planned* participant count, so the collection shrinks further when
+// fewer than the quota survive faults and the upload cut-off.
 std::size_t collect_quota(std::size_t quota_base, double fraction);
-
-// Indices of the earliest ceil(fraction * n) results by arrival time
-// (ties broken by client id for determinism). fraction is clamped to
-// (0, 1]; n == 0 yields empty.
-std::vector<std::size_t> select_earliest(const std::vector<ClientRoundResult>& results,
-                                         double fraction);
-
-// Fault-aware variant: the quota is still ceil(fraction * quota_base) —
-// the *planned* participant count — but only `candidates` (survivors of
-// fault filtering) are eligible, so the selection shrinks further when
-// fewer than the quota survive. With candidates covering all results and
-// quota_base == results.size() this reduces exactly to the overload above.
-std::vector<std::size_t> select_earliest(const std::vector<ClientRoundResult>& results,
-                                         const std::vector<std::size_t>& candidates,
-                                         std::size_t quota_base, double fraction);
 
 // Weighted mean of the selected updates, added in place to `global`.
 // Weights are each client's `weight` (dataset size), normalized over the
@@ -45,20 +31,20 @@ std::vector<double> apply_aggregated_update(nn::ModelState& global,
                                             const std::vector<ClientRoundResult>& results,
                                             const std::vector<std::size_t>& selected);
 
-// Streaming collection: bounds the number of client updates held in memory
-// at any instant to the collect quota, without changing what gets
-// aggregated.
+// The earliest-arrival selection, computed while results stream in: the
+// server collects the `quota` eligible results that come first under the
+// strict total order (arrival_time, then client_id — ties broken by id for
+// determinism), and the number of client updates held in memory never
+// exceeds the quota.
 //
 // Workers call offer(i) the moment slot i's result lands. The quorum keeps
-// the quota entries that are smallest under select_earliest's strict total
-// order (arrival_time, then client_id) among eligible results — exactly
-// the set the main thread's candidate filter + select_earliest will pick —
-// and immediately frees the update payload (applied_update and eager layer
-// tensors) of everything else: ineligible results (failed / non-finite
-// arrival / past the upload timeout) and entries evicted when a smaller
-// arrival displaces them. Bookkeeping fields (arrival times, byte counts,
-// eager metadata) are left intact, so records, reports and metrics are
-// byte-identical with streaming on or off.
+// the quota smallest eligible entries and immediately frees the update
+// payload (applied_update and eager layer tensors) of everything else:
+// ineligible results (failed / non-finite arrival / past the upload
+// timeout) and entries evicted when a smaller arrival displaces them.
+// Bookkeeping fields (arrival times, byte counts, eager metadata) are left
+// intact for records, reports and metrics. The selection does not depend on
+// the order of the offers.
 class StreamingQuorum {
  public:
   // `results` must stay alive and keep its size for the quorum's lifetime;
@@ -68,6 +54,10 @@ class StreamingQuorum {
 
   // Thread-safe. Must be called exactly once per completed slot.
   void offer(std::size_t index);
+
+  // The retained slot indices in ascending order; call after the last
+  // offer.
+  std::vector<std::size_t> collected();
 
  private:
   bool eligible(const ClientRoundResult& r) const;

@@ -92,21 +92,6 @@ void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
     if (f.dead || f.lost || f.trained || !std::isfinite(f.arrival_time)) continue;
     others.push_back(c);
   }
-  // Speculation bound: keep the earliest-arriving cap-1 companions (ties by
-  // client id). Dropped cycles simply train in a later batch or at their
-  // own arrival — the per-cycle result is unchanged either way.
-  if (options_.speculative_cap > 0 &&
-      others.size() + 1 > options_.speculative_cap) {
-    const std::size_t keep = options_.speculative_cap - 1;
-    std::sort(others.begin(), others.end(), [this](std::size_t a, std::size_t b) {
-      if (in_flight_[a].arrival_time != in_flight_[b].arrival_time) {
-        return in_flight_[a].arrival_time < in_flight_[b].arrival_time;
-      }
-      return a < b;
-    });
-    others.resize(keep);
-    std::sort(others.begin(), others.end());
-  }
   std::vector<InFlight*> jobs;
   std::vector<std::size_t> ids;
   jobs.reserve(others.size() + 1);

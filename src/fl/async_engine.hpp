@@ -56,12 +56,6 @@ struct AsyncEngineOptions {
   // its own snapshot and its client's private loader stream, so results
   // are bit-identical for any worker count.
   std::size_t worker_threads = 0;
-  // Cap on how many cycles one speculative batch may train (winner plus
-  // the earliest-arriving others). 0 = unlimited, the historical behavior;
-  // a bound keeps one batch's replica/update memory O(cap) when the
-  // population is huge. Training remains bit-identical per cycle — only
-  // *when* a cycle trains (speculatively vs at its own arrival) changes.
-  std::size_t speculative_cap = 0;
 };
 
 struct AsyncUpdateRecord {

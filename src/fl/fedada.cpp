@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace fedca::fl {
 
@@ -15,30 +16,26 @@ FedAdaScheme::FedAdaScheme(FedAdaOptions options) : options_(options) {
   }
 }
 
-void FedAdaScheme::bind(std::size_t num_clients, std::size_t nominal_iterations) {
-  Scheme::bind(num_clients, nominal_iterations);
-  est_iter_seconds_.assign(num_clients, -1.0);
+RoundPlan FedAdaScheme::plan_round(std::size_t /*round_index*/) {
+  RoundPlan plan;
+  plan.deadline = deadline_.estimate();
+  round_deadline_ = plan.deadline;
+  return plan;
 }
 
-RoundPlan FedAdaScheme::plan_round(std::size_t round_index) {
-  RoundPlan plan = Scheme::plan_round(round_index);
-  plan.deadline = deadline_.estimate();
-  if (plan.deadline == kNoDeadline) return plan;  // warm-up: everyone runs K
-
-  const auto K = static_cast<double>(nominal_iterations_);
+std::size_t FedAdaScheme::planned_iterations(std::size_t client_id,
+                                             std::size_t nominal_iterations) {
+  if (round_deadline_ == kNoDeadline) return nominal_iterations;  // warm-up
+  const double est = estimated_iteration_seconds(client_id);
+  if (est <= 0.0) return nominal_iterations;  // no knowledge yet; full workload
+  const auto K = static_cast<double>(nominal_iterations);
   const auto k_min = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::floor(options_.min_fraction * K)));
-  for (std::size_t c = 0; c < num_clients_; ++c) {
-    const double est = est_iter_seconds_[c];
-    if (est <= 0.0) continue;  // no knowledge yet; keep full workload
-    const double fits_deadline = plan.deadline / est;
-    const double blended =
-        options_.tradeoff * K + (1.0 - options_.tradeoff) * fits_deadline;
-    auto k_i = static_cast<std::size_t>(std::llround(blended));
-    k_i = std::clamp<std::size_t>(k_i, k_min, nominal_iterations_);
-    plan.iterations[c] = k_i;
-  }
-  return plan;
+  const double fits_deadline = round_deadline_ / est;
+  const double blended =
+      options_.tradeoff * K + (1.0 - options_.tradeoff) * fits_deadline;
+  return std::clamp<std::size_t>(static_cast<std::size_t>(std::llround(blended)), k_min,
+                                 nominal_iterations);
 }
 
 void FedAdaScheme::observe_round(const RoundRecord& record) {
@@ -51,7 +48,7 @@ void FedAdaScheme::observe_round(const RoundRecord& record) {
     durations.push_back(r.arrival_time - record.start_time);
     if (r.iterations_run > 0) {
       const double per_iter = r.compute_seconds / static_cast<double>(r.iterations_run);
-      double& est = est_iter_seconds_.at(r.client_id);
+      double& est = est_iter_seconds_.try_emplace(r.client_id, -1.0).first->second;
       est = (est <= 0.0) ? per_iter
                          : options_.speed_ewma * per_iter + (1.0 - options_.speed_ewma) * est;
     }
@@ -60,7 +57,8 @@ void FedAdaScheme::observe_round(const RoundRecord& record) {
 }
 
 double FedAdaScheme::estimated_iteration_seconds(std::size_t client_id) const {
-  return est_iter_seconds_.at(client_id);
+  const auto it = est_iter_seconds_.find(client_id);
+  return it == est_iter_seconds_.end() ? -1.0 : it->second;
 }
 
 }  // namespace fedca::fl

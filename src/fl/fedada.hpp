@@ -20,7 +20,7 @@
 // are trimmed toward deadline-fitting workloads.
 #pragma once
 
-#include <vector>
+#include <map>
 
 #include "fl/deadline.hpp"
 #include "fl/scheme.hpp"
@@ -41,18 +41,22 @@ class FedAdaScheme : public Scheme {
   explicit FedAdaScheme(FedAdaOptions options = {});
 
   std::string name() const override { return "FedAda"; }
-  void bind(std::size_t num_clients, std::size_t nominal_iterations) override;
   RoundPlan plan_round(std::size_t round_index) override;
+  std::size_t planned_iterations(std::size_t client_id,
+                                 std::size_t nominal_iterations) override;
   void observe_round(const RoundRecord& record) override;
 
-  // Exposed for tests.
+  // Exposed for tests; <= 0 means unknown (the client never delivered).
   double estimated_iteration_seconds(std::size_t client_id) const;
 
  private:
   FedAdaOptions options_;
   DeadlineEstimator deadline_;
-  // EWMA of observed seconds-per-iteration per client; <= 0 means unknown.
-  std::vector<double> est_iter_seconds_;
+  // The current round's deadline T_R (kNoDeadline during warm-up).
+  double round_deadline_ = kNoDeadline;
+  // EWMA of observed seconds-per-iteration, for clients that delivered;
+  // a missing entry or a value <= 0 means unknown.
+  std::map<std::size_t, double> est_iter_seconds_;
 };
 
 }  // namespace fedca::fl

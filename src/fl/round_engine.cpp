@@ -52,7 +52,6 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
   tensor::BufferPool::set_capacity_hint(
       static_cast<std::size_t>(global_.numel()) * sizeof(float),
       util::ThreadPool::resolve_workers(options_.worker_threads));
-  scheme_->bind(cluster_->size(), options_.local_iterations);
   // Injected crashes flush the flight recorder's last events per thread:
   // the engine is the component that interprets fault schedules, so it
   // owns wiring the obs dump hook into the sim-layer notification seam.
@@ -68,9 +67,6 @@ RoundRecord RoundEngine::run_round() {
   record.start_time = clock_;
 
   const RoundPlan plan = scheme_->plan_round(round_index_);
-  if (plan.iterations.size() != cluster_->size()) {
-    throw std::logic_error("RoundEngine: plan has wrong per-client iteration count");
-  }
   record.deadline = plan.deadline;
 
   // Participant selection (all clients when participation_fraction == 1).
@@ -136,16 +132,20 @@ RoundRecord RoundEngine::run_round() {
     participants = std::move(online);
   }
 
-  // Per-participant round facts, built serially in participant order.
+  // Per-participant round facts and policies, resolved serially in
+  // participant order on this thread (policies are created on first use).
   std::vector<RoundInfo> infos(participants.size());
+  std::vector<ClientPolicy*> policies(participants.size());
   for (std::size_t i = 0; i < participants.size(); ++i) {
     RoundInfo info;
     info.round_index = round_index_;
     info.start_time = clock_;
     info.deadline = (plan.deadline == kNoDeadline) ? kNoDeadline : clock_ + plan.deadline;
-    info.planned_iterations = std::max<std::size_t>(1, plan.iterations[participants[i]]);
+    info.planned_iterations = std::max<std::size_t>(
+        1, scheme_->planned_iterations(participants[i], options_.local_iterations));
     info.nominal_iterations = options_.local_iterations;
     infos[i] = info;
+    policies[i] = &scheme_->client_policy(participants[i]);
   }
 
   record.clients.resize(participants.size());
@@ -155,15 +155,11 @@ RoundRecord RoundEngine::run_round() {
   const double timeout_cut = options_.upload_timeout == kNoDeadline
                                  ? kNoDeadline
                                  : record.start_time + options_.upload_timeout;
-  // Streaming aggregation: free non-quorum payloads the moment each slot
-  // lands instead of buffering the whole cohort until selection.
-  std::unique_ptr<StreamingQuorum> quorum;
-  if (!record.clients.empty()) {
-    quorum = std::make_unique<StreamingQuorum>(
-        &record.clients,
-        collect_quota(record.clients.size(), options_.collect_fraction),
-        timeout_cut);
-  }
+  // Streaming aggregation: the quorum selects the earliest arrivals as
+  // slots land and frees every other payload on the spot instead of
+  // buffering the whole cohort until selection.
+  const std::size_t quota = collect_quota(record.clients.size(), options_.collect_fraction);
+  StreamingQuorum quorum(&record.clients, quota, timeout_cut);
 
   // Every client trains a private replica seeded with the global weights
   // and the round-start buffer snapshot (for every worker count, so
@@ -175,12 +171,13 @@ RoundRecord RoundEngine::run_round() {
   trainer_.run(participants.size(), [&](std::size_t i, nn::Classifier& replica) {
     if (!round_buffers.empty()) nn::load_buffers(replica.backbone(), round_buffers);
     bool trained = false;
-    record.clients[i] = run_client(participants[i], infos[i], replica, &trained);
+    record.clients[i] =
+        run_client(participants[i], infos[i], *policies[i], replica, &trained);
     if (trained && !round_buffers.empty()) {
       slot_buffers[i] = nn::capture_buffers(replica.backbone());
     }
     slot_trained[i] = trained ? 1 : 0;
-    if (quorum) quorum->offer(i);
+    quorum.offer(i);
   });
   // The shared model keeps the buffers of the last participant that
   // trained — the same participant the serial schedule would leave them
@@ -210,29 +207,19 @@ RoundRecord RoundEngine::run_round() {
                  32, static_cast<double>(r.iterations_run));
   }
 
-  // Survivor filtering: failed clients and non-finite arrivals never make
-  // the candidate list; a finite upload_timeout additionally drops late
-  // arrivals. In the fault-free default (no injector, no timeout) every
-  // participant is a candidate and the selection below reduces exactly to
-  // the original collect_fraction rule.
+  // Delivered uploads that missed the upload cut-off: the quorum already
+  // excluded them; count and trace them here, in participant order.
   obs::TraceCollector& tracer = obs::TraceCollector::global();
-  std::vector<std::size_t> candidates;
-  candidates.reserve(record.clients.size());
-  for (std::size_t i = 0; i < record.clients.size(); ++i) {
-    const ClientRoundResult& r = record.clients[i];
-    if (r.failed || !std::isfinite(r.arrival_time)) continue;
-    if (r.arrival_time > timeout_cut) {
-      FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
-      if (tracer.enabled()) {
-        tracer.record_instant(client_pid(r.client_id), "recovery.timeout_exclude",
-                              timeout_cut,
-                              {{"client", std::to_string(r.client_id)},
-                               {"round", std::to_string(record.round_index)},
-                               {"arrival", fmt_num(r.arrival_time)}});
-      }
-      continue;
+  for (const ClientRoundResult& r : record.clients) {
+    if (r.failed || !std::isfinite(r.arrival_time) || r.arrival_time <= timeout_cut) continue;
+    FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
+    if (tracer.enabled()) {
+      tracer.record_instant(client_pid(r.client_id), "recovery.timeout_exclude",
+                            timeout_cut,
+                            {{"client", std::to_string(r.client_id)},
+                             {"round", std::to_string(record.round_index)},
+                             {"arrival", fmt_num(r.arrival_time)}});
     }
-    candidates.push_back(i);
   }
 
   double quorum_time = clock_;
@@ -241,9 +228,7 @@ RoundRecord RoundEngine::run_round() {
     // charges it nothing (the paper's server is never the bottleneck), so
     // it shows up as a wall-clock span plus a virtual instant.
     FEDCA_WALL_SPAN("server.aggregate");
-    record.collected = select_earliest(record.clients, candidates,
-                                       record.clients.size(),
-                                       options_.collect_fraction);
+    record.collected = quorum.collected();
     if (!record.collected.empty()) {
       record.collected_weights =
           apply_aggregated_update(global_, record.clients, record.collected);
@@ -274,10 +259,7 @@ RoundRecord RoundEngine::run_round() {
                               std::to_string(record.clients.size())}});
     }
   } else if (faults != nullptr || timeout_cut != kNoDeadline) {
-    const auto planned_quota = static_cast<std::size_t>(
-        std::ceil(std::clamp(options_.collect_fraction, 1e-9, 1.0) *
-                  static_cast<double>(record.clients.size())));
-    if (record.collected.size() < std::max<std::size_t>(1, planned_quota)) {
+    if (record.collected.size() < quota) {
       FEDCA_MCOUNT("engine.partial_rounds", 1.0);
       if (tracer.enabled()) {
         tracer.record_instant(server_pid(), "recovery.partial_aggregation",
@@ -285,7 +267,7 @@ RoundRecord RoundEngine::run_round() {
                               {{"round", std::to_string(record.round_index)},
                                {"collected",
                                 std::to_string(record.collected.size())},
-                               {"planned", std::to_string(planned_quota)}});
+                               {"planned", std::to_string(quota)}});
       }
     }
   }
@@ -375,13 +357,13 @@ RoundRecord RoundEngine::run_round() {
 }
 
 ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo& info,
-                                          nn::Classifier& model, bool* trained) {
+                                          ClientPolicy& policy, nn::Classifier& model,
+                                          bool* trained) {
   // The lease materializes a pooled device from the registry record and
   // commits link state back when it drops (including on every early return
   // below).
   sim::DeviceLease device_lease = cluster_->lease(client_id);
   sim::ClientDevice& device = *device_lease;
-  ClientPolicy& policy = scheme_->client_policy(client_id);
   const double bytes_per_param = model.info().bytes_per_actual_param();
   const double iteration_work = model.info().nominal_iteration_seconds;
 

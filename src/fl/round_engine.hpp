@@ -3,8 +3,9 @@
 // One round, exactly as in FedAvg/Sec. 2.1 of the paper, with FedCA's
 // client-autonomy hooks threaded through:
 //
-//   1. The server announces the round plan (deadline T_R, per-client
-//      iteration budgets) — Scheme::plan_round.
+//   1. The server announces the round plan (deadline T_R) —
+//      Scheme::plan_round — and each participant's iteration budget —
+//      Scheme::planned_iterations.
 //   2. Every participant downloads the global model over its rate-limited
 //      downlink (virtual transfer time).
 //   3. The client trains locally. Each iteration runs *actual* SGD on the
@@ -96,11 +97,12 @@ class RoundEngine {
   std::size_t live_loader_bytes() const { return trainer_.live_loader_bytes(); }
 
  private:
-  // Trains one client on `model`, a private replica. Sets *trained when at
-  // least one SGD step ran — the caller uses it to decide whose batch-norm
-  // buffers survive the round.
+  // Trains one client, driven by its `policy`, on `model`, a private
+  // replica. Sets *trained when at least one SGD step ran — the caller uses
+  // it to decide whose batch-norm buffers survive the round.
   ClientRoundResult run_client(std::size_t client_id, const RoundInfo& info,
-                               nn::Classifier& model, bool* trained);
+                               ClientPolicy& policy, nn::Classifier& model,
+                               bool* trained);
   std::uint32_t server_pid() const { return trainer_.server_pid(); }
   std::uint32_t client_pid(std::size_t client_id) const {
     return trainer_.client_pid(client_id);

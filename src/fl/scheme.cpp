@@ -4,17 +4,13 @@
 
 namespace fedca::fl {
 
-RoundPlan Scheme::plan_round(std::size_t /*round_index*/) {
-  if (num_clients_ == 0) {
-    throw std::logic_error("Scheme::plan_round called before bind()");
-  }
-  RoundPlan plan;
-  plan.deadline = kNoDeadline;
-  plan.iterations.assign(num_clients_, nominal_iterations_);
-  return plan;
+ClientPolicy& Scheme::client_policy(std::size_t client_id) {
+  const auto it = policies_.find(client_id);
+  if (it != policies_.end()) return *it->second;
+  std::unique_ptr<ClientPolicy> policy = make_policy(client_id);
+  if (!policy) return default_policy_;
+  return *policies_.emplace(client_id, std::move(policy)).first->second;
 }
-
-ClientPolicy& Scheme::client_policy(std::size_t /*client_id*/) { return default_policy_; }
 
 CompressedScheme::CompressedScheme(std::unique_ptr<Scheme> inner, CompressionSpec spec,
                                    std::uint64_t seed)
@@ -29,17 +25,17 @@ std::string CompressedScheme::name() const {
   return inner_->name() + "+" + spec_.kind;
 }
 
-void CompressedScheme::bind(std::size_t num_clients, std::size_t nominal_iterations) {
-  Scheme::bind(num_clients, nominal_iterations);
-  inner_->bind(num_clients, nominal_iterations);
-}
-
 RoundPlan CompressedScheme::plan_round(std::size_t round_index) {
   return inner_->plan_round(round_index);
 }
 
-ClientPolicy& CompressedScheme::client_policy(std::size_t client_id) {
-  return inner_->client_policy(client_id);
+std::size_t CompressedScheme::planned_iterations(std::size_t client_id,
+                                                 std::size_t nominal_iterations) {
+  return inner_->planned_iterations(client_id, nominal_iterations);
+}
+
+std::unique_ptr<ClientPolicy> CompressedScheme::make_policy(std::size_t client_id) {
+  return inner_->make_policy(client_id);
 }
 
 nn::SgdOptions CompressedScheme::local_optimizer(const nn::SgdOptions& base) {

@@ -1,16 +1,22 @@
 // Scheme and client-policy interfaces — where FL algorithms plug in.
 //
 // A Scheme is the algorithm under test (FedAvg, FedProx, FedAda, FedCA,
-// ...). It has a server half — per-round planning: deadlines and
-// per-client iteration caps — and a client half: one stateful ClientPolicy
-// per client that observes every local iteration and may exercise the two
-// client-autonomy levers the round engine exposes:
+// ...). It has a server half — per-round planning: the deadline and each
+// participant's iteration cap — and a client half: one stateful
+// ClientPolicy per client that observes every local iteration and may
+// exercise the two client-autonomy levers the round engine exposes:
 //   * stopping local training (computation optimization, Sec. 4.2), and
 //   * eagerly transmitting chosen layers (communication optimization,
 //     Sec. 4.3), plus end-of-round retransmission selection.
 // Server-autocratic baselines simply leave the hooks at their defaults.
+//
+// Both halves are cohort-shaped: the engine asks only about the clients it
+// selected, and a scheme's per-client policy is created by make_policy the
+// first time that client participates, so per-client state is
+// O(clients ever selected), never O(population).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -91,42 +97,53 @@ class ClientPolicy {
   virtual void on_round_end(const RoundInfo& /*round*/) {}
 };
 
-// Server-side per-round plan.
+// Server-side per-round plan. Per-participant budgets come from
+// Scheme::planned_iterations, so the plan carries nothing per client.
 struct RoundPlan {
   // Round-relative deadline T_R handed to clients (kNoDeadline if none).
   double deadline = kNoDeadline;
-  // Iteration budget per client (size == num_clients). Baselines use the
-  // global K everywhere; FedAda caps stragglers.
-  std::vector<std::size_t> iterations;
 };
 
-// Thread-safety contract (parallel client training): the round engines may
-// call client_policy(c), local_optimizer(...) and make_compressor(c, r) —
-// and drive the returned policies/compressors — concurrently from worker
-// threads, with at most one thread per client id. Implementations must
-// therefore (a) keep per-client state inside the per-client policy object,
-// (b) make local_optimizer a pure function of its argument + immutable
-// scheme config, and (c) derive any compressor randomness from (client_id,
-// round_index) instead of drawing from a shared stream. plan_round and
-// observe_round are only ever called from the engine thread, between
-// rounds — server-side mutable state belongs there.
+// Thread-safety contract (parallel client training): the round engines
+// resolve each participant's policy through client_policy(c) on the engine
+// thread, before training starts; worker threads then drive the returned
+// policy, with at most one thread per client id, and may call
+// local_optimizer(...) and make_compressor(c, r) concurrently.
+// Implementations must therefore (a) keep per-client state inside the
+// per-client policy object, (b) make local_optimizer a pure function of its
+// argument + immutable scheme config, and (c) derive any compressor
+// randomness from (client_id, round_index) instead of drawing from a shared
+// stream. client_policy, make_policy, plan_round, planned_iterations and
+// observe_round are only ever called from the engine thread — server-side
+// mutable state belongs there.
 class Scheme {
  public:
   virtual ~Scheme() = default;
 
   virtual std::string name() const = 0;
 
-  // Called once before the first round.
-  virtual void bind(std::size_t num_clients, std::size_t nominal_iterations) {
-    num_clients_ = num_clients;
-    nominal_iterations_ = nominal_iterations;
+  // Server-side planning at round start.
+  virtual RoundPlan plan_round(std::size_t /*round_index*/) { return {}; }
+
+  // Iteration budget K_i for participant `client_id` this round, called
+  // after plan_round. Baselines run the global K everywhere; FedAda caps
+  // stragglers.
+  virtual std::size_t planned_iterations(std::size_t /*client_id*/,
+                                         std::size_t nominal_iterations) {
+    return nominal_iterations;
   }
 
-  // Server-side planning at round start.
-  virtual RoundPlan plan_round(std::size_t round_index);
+  // Creates the policy for `client_id` the first time the client
+  // participates. Policies must not depend on creation order (derive any
+  // randomness from the client id). nullptr means the shared no-op policy;
+  // it is stored nowhere, so the scheme asks again next time.
+  virtual std::unique_ptr<ClientPolicy> make_policy(std::size_t /*client_id*/) {
+    return nullptr;
+  }
 
-  // The policy instance driving client `client_id` (owned by the scheme).
-  virtual ClientPolicy& client_policy(std::size_t client_id);
+  // The policy instance driving client `client_id` (owned by the scheme),
+  // created through make_policy on first use.
+  ClientPolicy& client_policy(std::size_t client_id);
 
   // Local optimizer settings (FedProx raises prox_mu).
   virtual nn::SgdOptions local_optimizer(const nn::SgdOptions& base) { return base; }
@@ -144,12 +161,17 @@ class Scheme {
   }
 
  protected:
-  std::size_t num_clients_ = 0;
-  std::size_t nominal_iterations_ = 0;
+  // The policy make_policy created for `client_id`; throws
+  // std::out_of_range if the client never participated.
+  const ClientPolicy& created_policy(std::size_t client_id) const {
+    return *policies_.at(client_id);
+  }
 
  private:
   // A single default no-op policy shared by baseline schemes.
   ClientPolicy default_policy_;
+  // Policies created so far, keyed by client id (non-null entries only).
+  std::map<std::size_t, std::unique_ptr<ClientPolicy>> policies_;
 };
 
 // --- Baselines ---
@@ -191,9 +213,10 @@ class CompressedScheme : public Scheme {
                    std::uint64_t seed);
 
   std::string name() const override;
-  void bind(std::size_t num_clients, std::size_t nominal_iterations) override;
   RoundPlan plan_round(std::size_t round_index) override;
-  ClientPolicy& client_policy(std::size_t client_id) override;
+  std::size_t planned_iterations(std::size_t client_id,
+                                 std::size_t nominal_iterations) override;
+  std::unique_ptr<ClientPolicy> make_policy(std::size_t client_id) override;
   nn::SgdOptions local_optimizer(const nn::SgdOptions& base) override;
   void observe_round(const RoundRecord& record) override;
   std::unique_ptr<UpdateCompressor> make_compressor(std::size_t client_id,

@@ -1,4 +1,4 @@
-// Seeded fault injection for the discrete-event simulator.
+// Seeded fault injection for the virtual-time simulator.
 //
 // The paper's evaluation runs 128 real EC2 clients, where stragglers,
 // dropouts, and bandwidth collapse are the norm — FedCA's deadline-based
@@ -14,8 +14,7 @@
 //                          window (stragglers beyond the trace dynamicity);
 //   * link degradation   — bandwidth multiplied by a factor in [0, 1) for
 //                          a window on the client's uplink+downlink
-//                          (0 = outage; installed into Link, and the same
-//                          window shape is supported by SharedLink);
+//                          (0 = outage; installed into Link);
 //   * eager loss         — an eager layer transmission is lost or
 //                          truncated in flight (decided per
 //                          (client, round, layer) by a seeded hash).

@@ -58,14 +58,14 @@ class DecayPolicy : public fl::ClientPolicy {
   }
 };
 
+// Scheme giving every client its own PolicyT.
+template <class PolicyT>
 class HookScheme : public fl::Scheme {
  public:
-  explicit HookScheme(fl::ClientPolicy* policy) : policy_(policy) {}
   std::string name() const override { return "Hook"; }
-  fl::ClientPolicy& client_policy(std::size_t) override { return *policy_; }
-
- private:
-  fl::ClientPolicy* policy_;
+  std::unique_ptr<fl::ClientPolicy> make_policy(std::size_t) override {
+    return std::make_unique<PolicyT>();
+  }
 };
 
 TEST(AdaptiveLr, EngineAppliesScaleImmediately) {
@@ -78,8 +78,7 @@ TEST(AdaptiveLr, EngineAppliesScaleImmediately) {
   const double base_move =
       nn::state_l2_norm(nn::state_sub(base.engine->global_state(), base_start));
 
-  DecayPolicy decay;
-  HookScheme scheme(&decay);
+  HookScheme<DecayPolicy> scheme;
   fl::ExperimentSetup frozen = fl::make_setup(options, scheme);
   const nn::ModelState start = frozen.engine->global_state();
   frozen.engine->run_round();
@@ -101,8 +100,8 @@ TEST(AdaptiveLr, RejectsNonPositiveScale) {
       d.lr_scale = 0.0;
       return d;
     }
-  } bad;
-  HookScheme scheme(&bad);
+  };
+  HookScheme<BadPolicy> scheme;
   const fl::ExperimentOptions options = tiny();
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
   EXPECT_THROW(setup.engine->run_round(), std::logic_error);

@@ -2,7 +2,11 @@
 // and end-to-end properties on real federated runs.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/factory.hpp"
 #include "core/fedca_scheme.hpp"
@@ -173,6 +177,58 @@ TEST(FedCaEndToEnd, EarlyStopsHappenLateInRound) {
   const fl::ExperimentResult result = fl::run_experiment(tiny_options(), scheme);
   for (const double iter : result.early_stop_iterations()) {
     EXPECT_GE(iter, 3.0);
+  }
+}
+
+// Policies are created lazily, for participants only: after one round of a
+// 1000-client population with 60% participation, every participant has a
+// policy and a client that was never selected has none.
+TEST(FedCaPolicies, CreatedOnlyForParticipants) {
+  const fl::Scenario scenario = fl::load_scenario_file(
+      std::string(FEDCA_SOURCE_DIR) + "/scenarios/partial_participation.scn");
+  fl::ExperimentOptions options = scenario.options;
+  options.num_clients = 1000;
+  options.shard_pool = 10;  // the scenario's 10 data shards, shared
+  options.local_iterations = 2;
+  const std::unique_ptr<fl::Scheme> scheme =
+      core::make_scheme(scenario.scheme, fl::scheme_config(scenario), options.seed);
+  const auto* fedca = dynamic_cast<const core::FedCaScheme*>(scheme.get());
+  ASSERT_NE(fedca, nullptr);
+  fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
+  const fl::RoundRecord record = setup.engine->run_round();
+  ASSERT_LT(record.clients.size(), options.num_clients);
+
+  std::set<std::size_t> participants;
+  for (const fl::ClientRoundResult& r : record.clients) {
+    participants.insert(r.client_id);
+    EXPECT_NO_THROW(fedca->policy(r.client_id)) << "client " << r.client_id;
+  }
+  std::size_t never_selected = 0;
+  while (participants.count(never_selected) > 0) ++never_selected;
+  EXPECT_THROW(fedca->policy(never_selected), std::out_of_range);
+}
+
+// Creation order cannot change a policy: each one's RNG is forked from the
+// client id alone, so creating {5, 2} or {2, 5} before the anchor round
+// yields the same samples and curves.
+TEST(FedCaPolicies, CreationOrderDoesNotMatter) {
+  const auto anchor_run = [](const std::vector<std::size_t>& order) {
+    auto scheme =
+        std::make_unique<core::FedCaScheme>(tiny_fedca_options(), core::FedCaVariant::kV3, 1);
+    for (const std::size_t c : order) scheme->client_policy(c);
+    fl::ExperimentSetup setup = fl::make_setup(tiny_options(), *scheme);
+    setup.engine->run_round();  // round 0 is an anchor round
+    return scheme;
+  };
+  const std::unique_ptr<core::FedCaScheme> a = anchor_run({5, 2});
+  const std::unique_ptr<core::FedCaScheme> b = anchor_run({2, 5});
+  for (const std::size_t c : {2u, 5u}) {
+    const core::SamplingProfiler& pa = a->policy(c).profiler();
+    const core::SamplingProfiler& pb = b->policy(c).profiler();
+    ASSERT_TRUE(pa.has_curves());
+    EXPECT_EQ(pa.sampled_per_layer(), pb.sampled_per_layer());
+    EXPECT_EQ(pa.layer_curves(), pb.layer_curves());
+    EXPECT_EQ(pa.model_curve(), pb.model_curve());
   }
 }
 

@@ -25,14 +25,30 @@ nn::ModelState zero_state(std::size_t n) {
   return s;
 }
 
+// The earliest-arrival selection a StreamingQuorum keeps after every slot
+// of `results` was offered, in `order` (default: slot order).
+std::vector<std::size_t> select(std::vector<fl::ClientRoundResult>& results, double fraction,
+                                std::vector<std::size_t> order = {}) {
+  if (order.empty()) {
+    for (std::size_t i = 0; i < results.size(); ++i) order.push_back(i);
+  }
+  fl::StreamingQuorum quorum(&results, fl::collect_quota(results.size(), fraction),
+                             fl::kNoDeadline);
+  for (const std::size_t i : order) quorum.offer(i);
+  return quorum.collected();
+}
+
 TEST(SelectEarliest, PicksEarliestArrivals) {
   std::vector<fl::ClientRoundResult> results;
   results.push_back(make_result(0, 5.0, 1, {0}));
   results.push_back(make_result(1, 1.0, 1, {0}));
   results.push_back(make_result(2, 3.0, 1, {0}));
   results.push_back(make_result(3, 2.0, 1, {0}));
-  const auto sel = fl::select_earliest(results, 0.5);
-  EXPECT_EQ(sel, (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(select(results, 0.5), (std::vector<std::size_t>{1, 3}));
+  // Payloads outside the quorum are freed; bookkeeping stays.
+  EXPECT_TRUE(results[0].applied_update.tensors.empty());
+  EXPECT_EQ(results[1].applied_update.tensors.size(), 1u);
+  EXPECT_DOUBLE_EQ(results[0].arrival_time, 5.0);
 }
 
 TEST(SelectEarliest, NinetyPercentQuota) {
@@ -40,7 +56,7 @@ TEST(SelectEarliest, NinetyPercentQuota) {
   for (std::size_t i = 0; i < 10; ++i) {
     results.push_back(make_result(i, static_cast<double>(i), 1, {0}));
   }
-  const auto sel = fl::select_earliest(results, 0.9);
+  const auto sel = select(results, 0.9, {9, 3, 0, 8, 1, 7, 2, 6, 4, 5});
   EXPECT_EQ(sel.size(), 9u);  // ceil(0.9 * 10) — drops exactly the straggler
   EXPECT_EQ(sel.back(), 8u);
 }
@@ -50,8 +66,9 @@ TEST(SelectEarliest, CeilingRounding) {
   for (std::size_t i = 0; i < 7; ++i) {
     results.push_back(make_result(i, static_cast<double>(i), 1, {0}));
   }
-  EXPECT_EQ(fl::select_earliest(results, 0.9).size(), 7u);  // ceil(6.3) = 7
-  EXPECT_EQ(fl::select_earliest(results, 0.5).size(), 4u);  // ceil(3.5) = 4
+  std::vector<fl::ClientRoundResult> copy = results;
+  EXPECT_EQ(select(results, 0.9).size(), 7u);  // ceil(6.3) = 7
+  EXPECT_EQ(select(copy, 0.5).size(), 4u);     // ceil(3.5) = 4
 }
 
 TEST(SelectEarliest, TieBreaksByClientId) {
@@ -59,16 +76,34 @@ TEST(SelectEarliest, TieBreaksByClientId) {
   results.push_back(make_result(5, 1.0, 1, {0}));
   results.push_back(make_result(2, 1.0, 1, {0}));
   results.push_back(make_result(9, 1.0, 1, {0}));
-  const auto sel = fl::select_earliest(results, 0.3);  // ceil(0.9) = 1
-  ASSERT_EQ(sel.size(), 1u);
-  EXPECT_EQ(results[sel[0]].client_id, 2u);
+  for (const std::vector<std::size_t>& order :
+       {std::vector<std::size_t>{0, 1, 2}, std::vector<std::size_t>{2, 1, 0}}) {
+    std::vector<fl::ClientRoundResult> copy = results;
+    const auto sel = select(copy, 0.3, order);  // ceil(0.9) = 1
+    ASSERT_EQ(sel.size(), 1u);
+    EXPECT_EQ(copy[sel[0]].client_id, 2u);
+  }
 }
 
 TEST(SelectEarliest, EmptyAndFull) {
-  EXPECT_TRUE(fl::select_earliest({}, 0.9).empty());
+  std::vector<fl::ClientRoundResult> none;
+  EXPECT_TRUE(select(none, 0.9).empty());
   std::vector<fl::ClientRoundResult> one;
   one.push_back(make_result(0, 1.0, 1, {0}));
-  EXPECT_EQ(fl::select_earliest(one, 0.01).size(), 1u);  // at least one
+  EXPECT_EQ(select(one, 0.01).size(), 1u);  // at least one
+}
+
+TEST(SelectEarliest, IneligibleResultsNeverCollected) {
+  // The quota counts planned participants, so failures and late arrivals
+  // shrink the collection instead of pulling in later arrivals.
+  std::vector<fl::ClientRoundResult> results;
+  for (std::size_t i = 0; i < 4; ++i) {
+    results.push_back(make_result(i, static_cast<double>(i), 1, {0}));
+  }
+  results[0].failed = true;
+  fl::StreamingQuorum quorum(&results, fl::collect_quota(4, 0.75), /*timeout_cut=*/2.5);
+  for (std::size_t i = 0; i < results.size(); ++i) quorum.offer(i);
+  EXPECT_EQ(quorum.collected(), (std::vector<std::size_t>{1, 2}));  // 3 is late
 }
 
 TEST(Aggregate, WeightedMean) {

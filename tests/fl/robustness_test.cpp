@@ -299,12 +299,8 @@ TEST_F(RobustnessTest, UploadTimeoutKeepsOnlySurvivorsAndRenormalizes) {
 class EagerProbeScheme : public fl::Scheme {
  public:
   std::string name() const override { return "eager-probe"; }
-  void bind(std::size_t num_clients, std::size_t nominal_iterations) override {
-    fl::Scheme::bind(num_clients, nominal_iterations);
-    policies_.resize(num_clients);
-  }
-  fl::ClientPolicy& client_policy(std::size_t client_id) override {
-    return policies_.at(client_id);
+  std::unique_ptr<fl::ClientPolicy> make_policy(std::size_t /*client_id*/) override {
+    return std::make_unique<Policy>();
   }
 
  private:
@@ -315,7 +311,6 @@ class EagerProbeScheme : public fl::Scheme {
       return decision;
     }
   };
-  std::vector<Policy> policies_;
 };
 
 TEST_F(RobustnessTest, LostEagerTransmissionsAreAlwaysRetransmitted) {

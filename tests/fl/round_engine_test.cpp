@@ -23,15 +23,14 @@ fl::ExperimentOptions small_options() {
   return scenario.options;
 }
 
-// Scheme whose policy is injectable for testing engine hooks.
+// Scheme giving every client its own PolicyT, for testing engine hooks.
+template <class PolicyT>
 class HookScheme : public fl::Scheme {
  public:
-  explicit HookScheme(fl::ClientPolicy* policy) : policy_(policy) {}
   std::string name() const override { return "Hook"; }
-  fl::ClientPolicy& client_policy(std::size_t) override { return *policy_; }
-
- private:
-  fl::ClientPolicy* policy_;
+  std::unique_ptr<fl::ClientPolicy> make_policy(std::size_t) override {
+    return std::make_unique<PolicyT>();
+  }
 };
 
 TEST(RoundEngine, TimingInvariants) {
@@ -138,8 +137,7 @@ TEST(RoundEngine, EarlyStopReducesIterationsAndTime) {
   fl::ExperimentSetup full = fl::make_setup(options, full_scheme);
   const fl::RoundRecord full_record = full.engine->run_round();
 
-  StopAt2Policy stopper;
-  HookScheme stop_scheme(&stopper);
+  HookScheme<StopAt2Policy> stop_scheme;
   fl::ExperimentSetup stopped = fl::make_setup(options, stop_scheme);
   const fl::RoundRecord stop_record = stopped.engine->run_round();
 
@@ -163,8 +161,7 @@ class EagerLayer0Policy : public fl::ClientPolicy {
 };
 
 TEST(RoundEngine, EagerValueIsAppliedWithoutRetransmission) {
-  EagerLayer0Policy eager;
-  HookScheme scheme(&eager);
+  HookScheme<EagerLayer0Policy> scheme;
   fl::ExperimentOptions options = small_options();
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
   const fl::RoundRecord record = setup.engine->run_round();
@@ -210,8 +207,7 @@ TEST(RoundEngine, RetransmissionRestoresExactUpdate) {
   plain.engine->run_round();
   const std::vector<float> plain_state = plain.engine->global_state().flattened();
 
-  EagerRetransmitAllPolicy retrans;
-  HookScheme scheme(&retrans);
+  HookScheme<EagerRetransmitAllPolicy> scheme;
   fl::ExperimentSetup eager = fl::make_setup(options, scheme);
   const fl::RoundRecord record = eager.engine->run_round();
   const std::vector<float> eager_state = eager.engine->global_state().flattened();
@@ -236,8 +232,8 @@ TEST(RoundEngine, EagerDuplicateRequestsIgnored) {
       d.eager_layers = {0};
       return d;
     }
-  } spam;
-  HookScheme scheme(&spam);
+  };
+  HookScheme<SpamPolicy> scheme;
   fl::ExperimentOptions options = small_options();
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
   const fl::RoundRecord record = setup.engine->run_round();
@@ -253,8 +249,7 @@ TEST(RoundEngine, EagerReducesFinalUploadBytes) {
   fl::ExperimentSetup plain = fl::make_setup(options, plain_scheme);
   const fl::RoundRecord plain_record = plain.engine->run_round();
 
-  EagerLayer0Policy eager;
-  HookScheme scheme(&eager);
+  HookScheme<EagerLayer0Policy> scheme;
   fl::ExperimentSetup es = fl::make_setup(options, scheme);
   const fl::RoundRecord eager_record = es.engine->run_round();
 

@@ -9,21 +9,13 @@ namespace {
 
 TEST(Scheme, DefaultPlanUsesNominalIterations) {
   fl::FedAvgScheme scheme;
-  scheme.bind(5, 40);
   const fl::RoundPlan plan = scheme.plan_round(0);
   EXPECT_EQ(plan.deadline, fl::kNoDeadline);
-  ASSERT_EQ(plan.iterations.size(), 5u);
-  for (const auto k : plan.iterations) EXPECT_EQ(k, 40u);
-}
-
-TEST(Scheme, PlanBeforeBindThrows) {
-  fl::FedAvgScheme scheme;
-  EXPECT_THROW(scheme.plan_round(0), std::logic_error);
+  for (std::size_t c = 0; c < 5; ++c) EXPECT_EQ(scheme.planned_iterations(c, 40), 40u);
 }
 
 TEST(Scheme, DefaultPolicyIsNoop) {
   fl::FedAvgScheme scheme;
-  scheme.bind(2, 10);
   fl::ClientPolicy& policy = scheme.client_policy(0);
   fl::IterationView view;
   const fl::IterationDecision d = policy.after_iteration(view);
@@ -66,42 +58,55 @@ fl::RoundRecord fake_round(const std::vector<double>& durations,
 
 TEST(FedAda, WarmupRunsFullWorkload) {
   fl::FedAdaScheme scheme;
-  scheme.bind(3, 100);
   const fl::RoundPlan plan = scheme.plan_round(0);
   EXPECT_EQ(plan.deadline, fl::kNoDeadline);
-  for (const auto k : plan.iterations) EXPECT_EQ(k, 100u);
+  for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(scheme.planned_iterations(c, 100), 100u);
 }
 
 TEST(FedAda, TrimsStragglersAfterObservation) {
   fl::FedAdaScheme scheme;
-  scheme.bind(4, 100);
   // Clients 0-2 fast (0.1 s/iter -> 10 s rounds), client 3 slow (1 s/iter).
   scheme.observe_round(fake_round({10, 10, 10, 100}, {0.1, 0.1, 0.1, 1.0}, 100));
   const fl::RoundPlan plan = scheme.plan_round(1);
   ASSERT_NE(plan.deadline, fl::kNoDeadline);
   // Fast clients keep (nearly) full workloads; the straggler is trimmed.
-  EXPECT_EQ(plan.iterations[0], 100u);
-  EXPECT_LT(plan.iterations[3], 100u);
-  EXPECT_GE(plan.iterations[3], 20u);  // min_fraction floor
+  EXPECT_EQ(scheme.planned_iterations(0, 100), 100u);
+  EXPECT_LT(scheme.planned_iterations(3, 100), 100u);
+  EXPECT_GE(scheme.planned_iterations(3, 100), 20u);  // min_fraction floor
+}
+
+TEST(FedAda, UnseenClientRunsFullWorkload) {
+  fl::FedAdaScheme scheme;
+  scheme.observe_round(fake_round({10, 10, 10, 100}, {0.1, 0.1, 0.1, 1.0}, 100));
+  ASSERT_NE(scheme.plan_round(1).deadline, fl::kNoDeadline);
+  // Client 7 never delivered: no speed estimate, so it keeps K.
+  EXPECT_LE(scheme.estimated_iteration_seconds(7), 0.0);
+  EXPECT_EQ(scheme.planned_iterations(7, 100), 100u);
 }
 
 TEST(FedAda, UniformClusterKeepsFullWorkload) {
   fl::FedAdaScheme scheme;
-  scheme.bind(3, 50);
   scheme.observe_round(fake_round({10, 10, 10}, {0.2, 0.2, 0.2}, 50));
-  const fl::RoundPlan plan = scheme.plan_round(1);
-  for (const auto k : plan.iterations) {
-    EXPECT_GE(k, 40u);  // near-full: deadline fits everyone
+  scheme.plan_round(1);
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_GE(scheme.planned_iterations(c, 50), 40u);  // near-full: deadline fits everyone
   }
 }
 
 TEST(FedAda, SpeedEstimateIsEwma) {
   fl::FedAdaScheme scheme;
-  scheme.bind(1, 10);
   scheme.observe_round(fake_round({1.0}, {0.1}, 10));
   EXPECT_NEAR(scheme.estimated_iteration_seconds(0), 0.1, 1e-9);
   scheme.observe_round(fake_round({3.0}, {0.3}, 10));
   EXPECT_NEAR(scheme.estimated_iteration_seconds(0), 0.2, 1e-9);  // 0.5 blend
+}
+
+TEST(CompressedScheme, ForwardsPlanningAndPoliciesToInner) {
+  fl::CompressedScheme scheme(std::make_unique<fl::FedAdaScheme>(), {}, 1);
+  scheme.observe_round(fake_round({10, 10, 10, 100}, {0.1, 0.1, 0.1, 1.0}, 100));
+  ASSERT_NE(scheme.plan_round(1).deadline, fl::kNoDeadline);
+  EXPECT_EQ(scheme.planned_iterations(0, 100), 100u);
+  EXPECT_LT(scheme.planned_iterations(3, 100), 100u);  // the inner FedAda trims
 }
 
 TEST(FedAda, OptionValidation) {
