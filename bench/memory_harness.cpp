@@ -1,18 +1,18 @@
-// Counting-allocator harness: measures heap allocations per steady-state
-// federated round, with the tensor buffer pool on or off.
+// Counting-allocator harness: measures heap allocations and the peak heap
+// per steady-state federated round.
 //
 // The global operator new/delete overrides live in THIS translation unit
 // only (never in the libraries), so ordinary builds are unaffected; linked
 // into this binary they intercept every allocation in the process. Usage:
 //
-//   memory_harness [pool=0|1] [rounds=30] [warmup=3] [workers=1] [...]
+//   memory_harness [rounds=30] [warmup=3] [workers=1] [...]
 //
 // Prints one JSON object on stdout:
-//   {"pool":0,"rounds":30,"allocs_per_round":...,"frees_per_round":...,
+//   {"rounds":30,"workers":1,"allocs_per_round":...,"frees_per_round":...,
 //    "alloc_bytes_per_round":...,"peak_bytes":...}
 //
-// tools/bench_memory.py runs it twice (pool off / pool on) and writes
-// BENCH_memory.json with the allocation-reduction ratio.
+// tools/bench_memory.py runs it at 1 and 4 workers and writes
+// BENCH_memory.json.
 #include <malloc.h>  // malloc_usable_size (glibc)
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include <new>
 
 #include "bench/common.hpp"
-#include "tensor/pool.hpp"
 #include "tensor/simd/dispatch.hpp"
 
 namespace {
@@ -129,7 +128,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 int main(int argc, char** argv) {
   using namespace fedca;
   const util::Config config = bench::parse_config(argc, argv);
-  const int pool = static_cast<int>(config.get_int("pool", 0));
   const auto rounds = static_cast<std::size_t>(config.get_int("rounds", 30));
   const auto warmup = static_cast<std::size_t>(config.get_int("warmup", 3));
   const auto workers = static_cast<std::size_t>(config.get_int("workers", 1));
@@ -146,12 +144,11 @@ int main(int argc, char** argv) {
   options.test_samples = 32;
   options.seed = 21;
   options.worker_threads = workers;
-  options.tensor_pool = pool;
   fl::FedAvgScheme scheme;
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
 
-  // Warmup: populate replica free lists, loader scratch, and pool buckets
-  // so the measured window sees steady state.
+  // Warmup: populate replica free lists and loader scratch so the
+  // measured window sees steady state.
   for (std::size_t r = 0; r < warmup; ++r) setup.engine->run_round();
 
   const Counters before = snapshot();
@@ -164,19 +161,13 @@ int main(int argc, char** argv) {
   const double n = static_cast<double>(rounds == 0 ? 1 : rounds);
   std::printf(
       "{\"build_type\":\"%s\",\"simd_tier\":\"%s\","
-      "\"pool\":%d,\"rounds\":%zu,\"workers\":%zu,"
+      "\"rounds\":%zu,\"workers\":%zu,"
       "\"allocs_per_round\":%.1f,\"frees_per_round\":%.1f,"
-      "\"alloc_bytes_per_round\":%.1f,\"peak_bytes\":%" PRId64
-      ",\"pool_hits\":%" PRIu64 ",\"pool_misses\":%" PRIu64
-      ",\"pool_bytes_held\":%zu}\n",
-      bench::build_type(), tensor::simd::active_tier_name(),
-      pool, rounds, workers,
+      "\"alloc_bytes_per_round\":%.1f,\"peak_bytes\":%" PRId64 "}\n",
+      bench::build_type(), tensor::simd::active_tier_name(), rounds, workers,
       static_cast<double>(after.allocs - before.allocs) / n,
       static_cast<double>(after.frees - before.frees) / n,
       static_cast<double>(after.bytes - before.bytes) / n,
-      g_peak_bytes.load(std::memory_order_relaxed),
-      tensor::BufferPool::global().stats().hits,
-      tensor::BufferPool::global().stats().misses,
-      tensor::BufferPool::global().stats().bytes_held);
+      g_peak_bytes.load(std::memory_order_relaxed));
   return 0;
 }

@@ -16,7 +16,6 @@
 #include "core/sampling_profiler.hpp"
 #include "nn/state.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/pool.hpp"
 
 using namespace fedca;
 
@@ -139,44 +138,8 @@ int main(int argc, char** argv) {
                       "Ablation: profiling period vs memory and curve staleness (CNN)");
   ablation.print(std::cout);
 
-  // Tensor-pool accounting (buffer recycling on the round hot loop): run
-  // the same CNN workload with the pool enabled; the instrumented engine
-  // publishes tensor.pool.* gauges every round, and the table below is
-  // rendered from that registry snapshot — the same pathway any
-  // instrumented run uses for the Sec. 5.5 numbers above.
-  tensor::BufferPool::global().clear();
-  tensor::BufferPool::global().reset_stats();
-  fl::ExperimentOptions pool_options =
-      bench::workload_options(nn::ModelKind::kCnn, config);
-  pool_options.target_accuracy = 0.0;
-  pool_options.max_rounds =
-      static_cast<std::size_t>(config.get_int("pool_rounds", 6));
-  pool_options.tensor_pool = 1;
-  bench::RecordingScheme pool_scheme(100, pool_options.seed);
-  fl::run_experiment(pool_options, pool_scheme);
-  const std::vector<obs::MetricRow> pool_rows =
-      obs::MetricsRegistry::global().snapshot();
-  const double hits = lookup(pool_rows, "tensor.pool.hits");
-  const double misses = lookup(pool_rows, "tensor.pool.misses");
-  const double held = lookup(pool_rows, "tensor.pool.bytes_held");
-  util::Table pool_table({"pool acquires", "free-list hits", "heap misses",
-                          "hit rate", "bytes held (MB)"});
-  pool_table.add_row(
-      {std::to_string(static_cast<std::size_t>(hits + misses)),
-       std::to_string(static_cast<std::size_t>(hits)),
-       std::to_string(static_cast<std::size_t>(misses)),
-       util::Table::fmt(hits + misses > 0.0 ? hits / (hits + misses) : 0.0, 4),
-       mb(held)});
-  util::print_section(std::cout,
-                      "Tensor buffer pool: steady-state recycling (CNN, " +
-                          std::to_string(pool_options.max_rounds) + " rounds)");
-  pool_table.print(std::cout);
-  tensor::BufferPool::global().clear();
-  tensor::BufferPool::configure_from_option(-1);
-
   bench::maybe_save_csv(table, config, "overhead_profiling");
   bench::maybe_save_csv(ablation, config, "overhead_period_ablation");
-  bench::maybe_save_csv(pool_table, config, "overhead_tensor_pool");
   const std::string metrics_path = config.get_string("metrics", "");
   if (!metrics_path.empty()) obs::MetricsRegistry::global().save(metrics_path);
   return 0;

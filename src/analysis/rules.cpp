@@ -137,19 +137,21 @@ void check_raw_alloc(const SourceFile& f, std::vector<Finding>& findings) {
       if (j < n && is_punct(f, j, "<")) j = skip_template_args(f, j);
       if (j < n && is_punct(f, j, "[")) {
         add_finding(findings, "raw-tensor-alloc", f.rel_path, t.line,
-                    "raw new[] in src/tensor — route buffers through "
-                    "BufferPool (pool.cpp) so pool-on/off stay "
-                    "byte-identical");
+                    "raw new[] in src/tensor — tensor storage is owned "
+                    "by std::vector");
       }
     } else if ((t.text == "malloc" || t.text == "calloc" ||
                 t.text == "realloc" || t.text == "free") &&
                is_punct(f, i + 1, "(") &&
+               // Member calls and declarations (a type name before the
+               // identifier) are not calls; `return malloc(` is.
                !(i >= 1 && (is_punct(f, i - 1, ".") || is_punct(f, i - 1, "->") ||
                             is_punct(f, i - 1, "::") ||
-                            f.tokens[i - 1].kind == TokenKind::kIdent))) {
+                            (f.tokens[i - 1].kind == TokenKind::kIdent &&
+                             f.tokens[i - 1].text != "return")))) {
       add_finding(findings, "raw-tensor-alloc", f.rel_path, t.line,
-                  "raw C allocation in src/tensor — route buffers through "
-                  "BufferPool (pool.cpp)");
+                  "raw C allocation in src/tensor — tensor storage is "
+                  "owned by std::vector");
     }
   }
 }
@@ -483,7 +485,7 @@ void analyze_rules(const SourceFile& f, const RuleContext& ctx,
   if (in_src && !in_dirs(rel, {"src/obs/", "src/sim/"})) {
     check_wall_clock(f, findings);
   }
-  if (starts_with(rel, "src/tensor/") && base != "pool.cpp") {
+  if (starts_with(rel, "src/tensor/")) {
     check_raw_alloc(f, findings);
   }
   if (in_dirs(rel, {"src/tensor/", "src/nn/"}) &&

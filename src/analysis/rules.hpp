@@ -13,8 +13,8 @@
 //                         src/nn.
 //   wall-clock            host-clock ::now reads — src/ minus src/obs,
 //                         src/sim.
-//   raw-tensor-alloc      new[] / malloc-family — src/tensor minus
-//                         pool.cpp.
+//   raw-tensor-alloc      new[] / malloc-family — src/tensor (tensor
+//                         storage is owned by std::vector).
 //   raw-intrinsics        #include <immintrin.h>/<x86intrin.h>/<arm_neon.h>
 //                         — every C++ file outside src/tensor/simd/.
 //   client-container      containers of ClientDevice outside the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "tensor/pool.hpp"
-
 namespace fedca::core {
 
 SamplingProfiler::SamplingProfiler(ProfilerOptions options, util::Rng rng)
@@ -58,9 +56,7 @@ void SamplingProfiler::record_iteration(nn::Module& model) {
     throw std::logic_error("SamplingProfiler: model layout changed");
   }
   for (std::size_t layer = 0; layer < params.size(); ++layer) {
-    // Per-iteration sample panels recycle through the tensor buffer pool
-    // (every element is written below before any read).
-    std::vector<float> sample = tensor::pool_acquire(indices_[layer].size());
+    std::vector<float> sample(indices_[layer].size());
     const nn::Tensor& current = params[layer]->value;
     const nn::Tensor& start = round_start_.tensors[layer];
     std::size_t j = 0;
@@ -88,16 +84,14 @@ void SamplingProfiler::finish_round() {
     layer_curves_.push_back(curve_from_snapshots(layer_snapshots));
   }
 
-  // Whole-model curve over the concatenated per-layer samples (pooled
-  // scratch: each snapshot is fully written before use).
+  // Whole-model curve over the concatenated per-layer samples.
   std::size_t snap_len = 0;
   for (const auto& layer_snapshots : recorded_) {
     snap_len += layer_snapshots.front().size();
   }
-  std::vector<std::vector<float>> model_snapshots(iterations);
+  std::vector<std::vector<float>> model_snapshots(iterations, std::vector<float>(snap_len));
   for (std::size_t it = 0; it < iterations; ++it) {
     std::vector<float>& snap = model_snapshots[it];
-    snap = tensor::pool_acquire(snap_len);
     std::size_t offset = 0;
     for (const auto& layer_snapshots : recorded_) {
       const std::vector<float>& src = layer_snapshots[it];
@@ -107,10 +101,6 @@ void SamplingProfiler::finish_round() {
   }
   model_curve_ = curve_from_snapshots(model_snapshots);
   anchor_round_ = pending_round_;
-  for (auto& snap : model_snapshots) tensor::pool_release(std::move(snap));
-  for (auto& layer_snapshots : recorded_) {
-    for (auto& sample : layer_snapshots) tensor::pool_release(std::move(sample));
-  }
   recorded_.clear();
   round_start_ = nn::ModelState{};
 }

@@ -10,8 +10,6 @@
 #include "obs/round_report.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
-#include "tensor/pool.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
@@ -52,9 +50,6 @@ AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
   if (options_.mix <= 0.0 || options_.mix > 1.0) {
     throw std::invalid_argument("AsyncEngine: mix must be in (0, 1]");
   }
-  tensor::BufferPool::set_capacity_hint(
-      static_cast<std::size_t>(model_->state().numel()) * sizeof(float),
-      util::ThreadPool::resolve_workers(options_.worker_threads));
   // Arm the crash-dump seam before any launch can hit an injected fault:
   // a permanent crash flushes the flight recorder / metrics / report so
   // the tail of the run survives.
@@ -303,9 +298,6 @@ AsyncUpdateRecord AsyncEngine::step() {
   FEDCA_MCOUNT("async.updates", 1.0);
   FEDCA_MHISTO("async.staleness", 0.0, 64.0, 64,
                static_cast<double>(record.staleness));
-  if (obs::metrics_enabled() && tensor::BufferPool::enabled()) {
-    tensor::BufferPool::global().publish_metrics();
-  }
   if (obs::TraceCollector::global().enabled() && trainer_.trace_armed()) {
     obs::TraceCollector::global().record_instant(
         trainer_.server_pid(), "apply_update", clock_,

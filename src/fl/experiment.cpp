@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <numeric>
 #include <map>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/pool.hpp"
 #include "util/logging.hpp"
 
 namespace fedca::fl {
@@ -38,7 +38,11 @@ std::vector<double> ExperimentResult::eager_iterations(bool effective_with_retra
 }
 
 ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme) {
-  tensor::BufferPool::configure_from_option(options.tensor_pool);
+  if (options.tensor_pool != 0) {
+    throw std::invalid_argument(
+        "make_setup: tensor_pool is no longer supported; tensor storage is "
+        "always a plain std::vector");
+  }
   util::Rng root(options.seed);
   util::Rng model_rng = root.fork(1);
   util::Rng data_rng = root.fork(2);

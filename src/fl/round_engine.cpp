@@ -10,9 +10,7 @@
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/pool.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
@@ -46,12 +44,6 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
   }
   selection_rng_ = rng.fork(0x5E1EC7);
   global_ = model_->state();
-  // Size the tensor pool's global tier to this workload: one model footprint
-  // of layer buffers per worker plus one spare (no-op while the pool is at a
-  // larger hint already; never shrinks below the historical 64 slots).
-  tensor::BufferPool::set_capacity_hint(
-      static_cast<std::size_t>(global_.numel()) * sizeof(float),
-      util::ThreadPool::resolve_workers(options_.worker_threads));
   // Injected crashes flush the flight recorder's last events per thread:
   // the engine is the component that interprets fault schedules, so it
   // owns wiring the obs dump hook into the sim-layer notification seam.
@@ -287,9 +279,6 @@ RoundRecord RoundEngine::run_round() {
   }
   FEDCA_MCOUNT("engine.rounds", 1.0);
   FEDCA_MHISTO("engine.round_seconds", 0.0, 600.0, 60, record.duration());
-  if (obs::metrics_enabled() && tensor::BufferPool::enabled()) {
-    tensor::BufferPool::global().publish_metrics();
-  }
 
   // Round attribution: one JSONL line per round with the deadline
   // estimate vs realized times, a per-client outcome, and the straggler

@@ -8,10 +8,10 @@
 // load_scenario_file()/parse_scenario() read ONLY the file (the scenario
 // tier) — tests that must be hermetic from the caller's environment use
 // Scenario::options directly. resolve_options() overlays the environment
-// tier (FEDCA_TRACE / FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS /
-// FEDCA_TENSOR_POOL); callers apply the programmatic tier by mutating the
-// returned struct, which trivially wins. This is consistent with the
-// pre-scenario contract pinned by tests/fl/options_precedence_test.cpp:
+// tier (FEDCA_TRACE / FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS);
+// callers apply the programmatic tier by mutating the returned struct,
+// which trivially wins. This is consistent with the pre-scenario
+// contract pinned by tests/fl/options_precedence_test.cpp:
 // explicit ExperimentOptions fields beat the environment, and the
 // environment beats a scenario file.
 //
@@ -20,8 +20,7 @@
 //
 //   [scenario] version (required, = 1), name, description
 //   [run]      seed, engine (round|async), rounds, target_accuracy,
-//              accuracy_smoothing, eval_every, workers,
-//              tensor_pool (auto|on|off)
+//              accuracy_smoothing, eval_every, workers
 //   [model]    kind (cnn|lstm|wrn), classes, noise, amplitude_lo,
 //              amplitude_hi
 //   [data]     clients, train_samples, test_samples, alpha, batch
@@ -89,8 +88,8 @@ Scenario load_scenario_file(const std::string& path);
 std::string to_string(const Scenario& scenario);
 
 // Environment tier: the scenario's options with FEDCA_TRACE /
-// FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS / FEDCA_TENSOR_POOL
-// overrides applied on top. Mutate the result for programmatic overrides.
+// FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS overrides applied on top.
+// Mutate the result for programmatic overrides.
 ExperimentOptions resolve_options(const Scenario& scenario);
 
 // Config for core::make_scheme carrying the scenario's [scheme] params.

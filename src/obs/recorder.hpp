@@ -10,8 +10,8 @@
 //     RecorderEvent into their own ring and publish it with one
 //     release-store — no locks, no allocation, no syscalls;
 //   * a single collector drains all rings (serialized by a mutex that is
-//     never on the producer path) and feeds the events into the existing
-//     Chrome-trace / metrics exporters via TraceCollector;
+//     never on the producer path) and feeds the events into the
+//     Chrome-trace exporter via TraceCollector;
 //   * memory is bounded by construction: when a ring is full the new
 //     event is dropped and counted, and the drain publishes the total as
 //     the `obs.recorder.dropped` metric. Drop-newest (rather than
@@ -45,12 +45,11 @@
 
 namespace fedca::obs {
 
+// Trace events only; metrics bypass the recorder and go straight to the
+// FEDCA_M* registry (obs/metrics.hpp).
 enum class RecordKind : std::uint8_t {
   kSpan = 0,     // t0 = start seconds, t1 = end seconds
   kInstant = 1,  // t0 = timestamp seconds
-  kCounter = 2,  // t0 = delta, accumulated into the named counter
-  kValue = 3,    // t0 = sample, recorded into the named histogram (t1 = lo,
-                 // t2 = hi, bins = bucket count)
 };
 
 // POD ring-buffer slot. Fixed-size char fields instead of std::string so
@@ -65,10 +64,8 @@ struct RecorderEvent {
   std::uint16_t arg_bytes = 0;  // used bytes of `args`
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
-  std::uint32_t bins = 0;  // kValue: histogram bucket count
   double t0 = 0.0;
   double t1 = 0.0;
-  double t2 = 0.0;
   char name[kNameCapacity] = {};  // NUL-terminated
   // Packed "key\0value\0" pairs — preserves arbitrary bytes (quotes,
   // newlines, '=') so the JSON writer sees exactly what was recorded.

@@ -184,40 +184,21 @@ double TraceCollector::wall_now_seconds() {
 }
 
 void TraceCollector::consume(const RecorderEvent& event) const {
-  switch (event.kind) {
-    case RecordKind::kSpan:
-    case RecordKind::kInstant: {
-      TraceEvent e;
-      e.name = event.name;
-      e.phase = event.kind == RecordKind::kSpan ? 'X' : 'i';
-      e.clock = event.clock == 0 ? Clock::kVirtual : Clock::kWall;
-      e.ts_us = event.t0 * 1e6;
-      if (event.kind == RecordKind::kSpan) {
-        e.dur_us = std::max(0.0, (event.t1 - event.t0) * 1e6);
-      }
-      e.pid = event.pid;
-      e.tid = event.tid;
-      for_each_arg(event, [&e](const char* key, const char* value) {
-        e.args.emplace_back(key, value);
-      });
-      util::MutexLock lock(mutex_);
-      events_.push_back(std::move(e));
-      break;
-    }
-    case RecordKind::kCounter:
-      if (metrics_enabled()) {
-        MetricsRegistry::global().counter(event.name).add(event.t0);
-      }
-      break;
-    case RecordKind::kValue:
-      if (metrics_enabled()) {
-        MetricsRegistry::global()
-            .histogram(event.name, event.t1, event.t2,
-                       std::max<std::size_t>(1, event.bins))
-            .record(event.t0);
-      }
-      break;
+  TraceEvent e;
+  e.name = event.name;
+  e.phase = event.kind == RecordKind::kSpan ? 'X' : 'i';
+  e.clock = event.clock == 0 ? Clock::kVirtual : Clock::kWall;
+  e.ts_us = event.t0 * 1e6;
+  if (event.kind == RecordKind::kSpan) {
+    e.dur_us = std::max(0.0, (event.t1 - event.t0) * 1e6);
   }
+  e.pid = event.pid;
+  e.tid = event.tid;
+  for_each_arg(event, [&e](const char* key, const char* value) {
+    e.args.emplace_back(key, value);
+  });
+  util::MutexLock lock(mutex_);
+  events_.push_back(std::move(e));
 }
 
 void TraceCollector::drain_pending() const {

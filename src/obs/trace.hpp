@@ -111,8 +111,9 @@ class TraceCollector {
   void reset();
 
  private:
-  // Converts one drained recorder event: spans/instants append to
-  // events_, counter/value events feed the metrics registry.
+  // Converts one drained recorder event (a span or an instant) into a
+  // TraceEvent appended to events_. Metrics never pass through the
+  // recorder: they go straight to the FEDCA_M* registry.
   void consume(const RecorderEvent& event) const;
   // Empties the recorder rings into events_ and publishes the recorder's
   // drop/truncation accounting (obs.recorder.*). Every read API calls

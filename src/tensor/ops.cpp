@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/pool.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "tensor/simd/kernels.hpp"
 #include "util/thread_pool.hpp"
@@ -350,13 +349,9 @@ void pack_b(const float* b, std::size_t bs, bool b_trans, std::size_t k0,
 }
 
 // Per-thread packing scratch, allocated once per thread and held for its
-// lifetime: a per-call acquire would degrade to a fresh zero-initializing
-// allocation whenever the pool is disabled (the default), which costs more
-// than the microkernel work at hot sizes. Deliberately NOT pool-backed —
-// the buffers outlive any pool enable/clear/disable transition and the
-// pool's own thread-local cache, so tying them to it would make their
-// destruction order observable; a one-time plain allocation already
-// achieves the pool's goal of zero steady-state heap traffic.
+// lifetime: a per-call buffer would be a fresh zero-initializing
+// allocation, which costs more than the microkernel work at hot sizes. The
+// one-time allocation keeps GEMM free of steady-state heap traffic.
 struct GemmScratch {
   std::vector<float> ap = std::vector<float>(kMc * kKc);
   std::vector<float> bp = std::vector<float>(kKc * kNc);

@@ -1,117 +1,15 @@
-// Thread-aware recycling pool for tensor float buffers.
-//
-// The round hot loop creates and destroys many same-sized Tensors every
-// round (replica captures, per-client ModelState updates, layer panels for
-// the profiler/compressor/eager paths). With the pool enabled, Tensor
-// routes its buffer acquisition/release through size-bucketed free lists
-// so steady-state rounds recycle buffers instead of hitting the heap.
-//
-// Design:
-//   * Buckets by power-of-two capacity. A released vector lands in the
-//     largest bucket whose size its capacity covers, so any buffer popped
-//     from bucket b is guaranteed to hold bucket_size(b) floats without
-//     reallocating.
-//   * Two tiers: a lock-free thread_local cache (a few buffers per bucket)
-//     in front of a mutex-guarded global pool. Worker threads recycle
-//     locally; overflow and thread exit flush to the global tier.
-//   * Opt-in: disabled by default. `FEDCA_TENSOR_POOL=1` or
-//     `ExperimentOptions::tensor_pool` turns it on. When disabled, acquire
-//     and release degrade to plain vector allocation/deallocation, so the
-//     pool-off path is byte-for-byte the pre-pool behavior.
-//   * Determinism: the pool never changes computed values. `acquire_filled`
-//     writes every element; `acquire` hands out unspecified contents and is
-//     only used by callers that fully overwrite the buffer. In debug (or
-//     when `set_debug_poison(true)`), recycled buffers are filled with
-//     signaling garbage so a read-before-write bug surfaces immediately.
-//   * Instrumented: hit/miss/release/bytes-held stats, exported as gauges
-//     through the obs metrics registry via publish_metrics().
+// Retired tensor buffer pool. Tensor storage is a plain std::vector<float>;
+// this header only keeps the pool's API for the frozen end-to-end harness
+// (perfbench/harness.cpp), which still asks whether the pool is on and
+// applies ExperimentOptions::tensor_pool (always 0; make_setup rejects any
+// other value). Delete it with the next benchmark change.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace fedca::tensor {
 
-// Aggregate counters since the last reset_stats(). `bytes_held` is the
-// current total capacity (in bytes) cached across the global pool and all
-// live thread caches.
-struct PoolStats {
-  std::uint64_t hits = 0;        // acquires served from a free list
-  std::uint64_t misses = 0;      // acquires that hit the heap
-  std::uint64_t releases = 0;    // buffers returned to the pool
-  std::uint64_t discards = 0;    // released buffers dropped (too small/full)
-  std::size_t bytes_held = 0;
+struct BufferPool {
+  static bool enabled() { return false; }
+  static void configure_from_option(int /*option*/) {}
 };
-
-class BufferPool {
- public:
-  // The process-wide pool (leaked singleton: safe to touch from static
-  // destructors and exiting threads).
-  static BufferPool& global();
-
-  // Fast path for Tensor: is recycling on? One relaxed atomic load.
-  static bool enabled();
-  // Turn recycling on/off. Turning it off leaves cached buffers in place
-  // (call clear() to drop them); buffers handed out while enabled are
-  // simply freed by the vector destructor if released while disabled.
-  static void set_enabled(bool on);
-  // Apply an ExperimentOptions-style three-state: 1 = on, 0 = off,
-  // negative = consult the FEDCA_TENSOR_POOL environment variable
-  // (unset/0/false/off => off; anything else => on).
-  static void configure_from_option(int option);
-
-  // Size the global tier to the workload: each bucket's slot cap becomes
-  // clamp(footprint_bytes * (workers + 1) / bucket_bytes, 64, 4096), so
-  // small-tensor buckets can hold one model's worth of layer buffers per
-  // worker instead of a fixed 64 slots. Growth-only (concurrent engines
-  // keep the largest hint) and monotone in the inputs; the 64-slot floor
-  // preserves the historical behavior for huge buckets. Zero inputs are
-  // no-ops.
-  static void set_capacity_hint(std::size_t footprint_bytes, std::size_t workers);
-  // Current slot cap of the bucket covering `floats` floats (test hook).
-  static std::size_t bucket_slot_cap(std::size_t floats);
-
-  // A buffer with size() == n and unspecified contents (recycled garbage or
-  // poison). Callers must write every element before reading.
-  std::vector<float> acquire(std::size_t n);
-  // A buffer with size() == n and every element set to `value` — safe to
-  // read immediately; this is what Tensor's zero/fill constructors use.
-  std::vector<float> acquire_filled(std::size_t n, float value);
-  // Return a buffer for recycling. Accepts any vector (not only ones that
-  // came from acquire); tiny or excess buffers are discarded, which frees
-  // them normally.
-  void release(std::vector<float>&& buf);
-
-  // Drop every cached buffer in the global tier and the calling thread's
-  // cache. (Other threads' caches flush when those threads exit.)
-  void clear();
-  // Move the calling thread's cached buffers into the global tier so other
-  // threads can reuse them. Called automatically at thread exit.
-  void flush_thread_cache();
-
-  PoolStats stats() const;
-  void reset_stats();
-  // Export tensor.pool.{hits,misses,releases,bytes_held} gauges through the
-  // obs metrics registry (no-op when metrics are disabled).
-  void publish_metrics() const;
-
-  // Fill recycled buffers with a poison pattern on release so stale reads
-  // are loud. Defaults to on in debug builds (!NDEBUG), off otherwise.
-  static void set_debug_poison(bool on);
-  static bool debug_poison();
-
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
-
- private:
-  BufferPool() = default;
-};
-
-// Convenience wrappers over BufferPool::global() that degrade to plain
-// vector operations when the pool is disabled.
-std::vector<float> pool_acquire(std::size_t n);
-std::vector<float> pool_acquire_filled(std::size_t n, float value);
-void pool_release(std::vector<float>&& buf);
 
 }  // namespace fedca::tensor

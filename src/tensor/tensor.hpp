@@ -5,10 +5,8 @@
 // builds, debug-asserted operator[]), and performance for the federated
 // round hot loop. There is no view/aliasing machinery — every Tensor owns
 // its buffer — which keeps update accounting in the FL layer trivially
-// correct. Buffers are acquired from and recycled through the tensor
-// BufferPool (pool.hpp) when it is enabled, so steady-state rounds reuse
-// storage instead of hitting the heap; shapes are stored inline (no heap)
-// up to Shape::kMaxRank dimensions.
+// correct. The buffer is a plain std::vector<float>; shapes are stored
+// inline (no heap) up to Shape::kMaxRank dimensions.
 #pragma once
 
 #include <cassert>
@@ -31,8 +29,8 @@ namespace fedca::tensor {
 
 // Shape of a tensor; empty shape denotes a scalar-less, empty tensor.
 // Inline fixed-capacity sequence of dimensions with a vector-like surface.
-// Keeping dims inline means constructing a Tensor never allocates for its
-// shape — with the buffer pool on, a fresh Tensor is heap-free.
+// Keeping dims inline means constructing a Tensor allocates only its
+// element buffer, never its shape.
 class Shape {
  public:
   using value_type = std::size_t;
@@ -113,12 +111,13 @@ class Tensor {
   // Tensor adopting existing data; data.size() must equal shape_numel(shape).
   Tensor(Shape shape, std::vector<float> data);
 
-  // Copies route the buffer through the pool; destruction recycles it.
-  Tensor(const Tensor& other);
+  // Copies duplicate the buffer (copy-assign reuses the destination's
+  // capacity); a move leaves the source empty, shape included.
+  Tensor(const Tensor&) = default;
   Tensor(Tensor&& other) noexcept;
-  Tensor& operator=(const Tensor& other);
+  Tensor& operator=(const Tensor&) = default;
   Tensor& operator=(Tensor&& other) noexcept;
-  ~Tensor();
+  ~Tensor() = default;
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value) { return Tensor(std::move(shape), value); }

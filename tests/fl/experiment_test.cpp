@@ -2,6 +2,7 @@
 // extraction helpers.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "core/fedca_scheme.hpp"
@@ -33,6 +34,15 @@ TEST(ExperimentSetup, WiresEverything) {
   std::size_t total = 0;
   for (const auto& shard : setup.shards) total += shard.size();
   EXPECT_EQ(total, options.train_samples);
+}
+
+TEST(ExperimentSetup, RetiredTensorPoolOptionIsRejected) {
+  fl::FedAvgScheme scheme;
+  for (const int pool : {1, -1}) {
+    fl::ExperimentOptions options = tiny();
+    options.tensor_pool = pool;
+    EXPECT_THROW(fl::make_setup(options, scheme), std::invalid_argument) << pool;
+  }
 }
 
 TEST(ExperimentSetup, EvaluateGlobalUsesGlobalWeights) {

@@ -32,7 +32,6 @@ TEST(ScenarioBinding, MinimalFileYieldsDefaults) {
   EXPECT_EQ(sc.options.max_rounds, defaults.max_rounds);
   EXPECT_EQ(sc.options.collect_fraction, defaults.collect_fraction);
   EXPECT_EQ(sc.options.worker_threads, defaults.worker_threads);
-  EXPECT_EQ(sc.options.tensor_pool, defaults.tensor_pool);
   EXPECT_FALSE(sc.options.faults.enabled);
   EXPECT_TRUE(std::isinf(sc.options.upload_timeout));
 }
@@ -47,7 +46,6 @@ TEST(ScenarioBinding, MapsEverySection) {
       "[scenario]\nversion = 1\nname = full\ndescription = all knobs\n"
       "[run]\nseed = 99\nrounds = 7\ntarget_accuracy = 0.5\n"
       "accuracy_smoothing = 2\neval_every = 3\nworkers = 4\n"
-      "tensor_pool = on\n"
       "[model]\nkind = lstm\nclasses = 6\nnoise = 0.3\n"
       "amplitude_lo = 0.7\namplitude_hi = 1.3\n"
       "[data]\nclients = 9\ntrain_samples = 500\ntest_samples = 100\n"
@@ -70,7 +68,6 @@ TEST(ScenarioBinding, MapsEverySection) {
   EXPECT_EQ(sc.options.accuracy_smoothing, 2u);
   EXPECT_EQ(sc.options.eval_every, 3u);
   EXPECT_EQ(sc.options.worker_threads, 4u);
-  EXPECT_EQ(sc.options.tensor_pool, 1);
   EXPECT_EQ(sc.options.model, nn::ModelKind::kLstm);
   EXPECT_EQ(sc.options.data_spec.num_classes, 6u);
   EXPECT_EQ(sc.options.data_spec.noise_stddev, 0.3);
@@ -169,7 +166,6 @@ void expect_round_trip(const std::string& text, const std::string& label) {
   EXPECT_EQ(a.participation_fraction, b.participation_fraction) << label;
   EXPECT_EQ(a.upload_timeout, b.upload_timeout) << label;
   EXPECT_EQ(a.max_rounds, b.max_rounds) << label;
-  EXPECT_EQ(a.tensor_pool, b.tensor_pool) << label;
   EXPECT_EQ(a.cluster.heterogeneity.speed_sigma,
             b.cluster.heterogeneity.speed_sigma)
       << label;
@@ -214,7 +210,6 @@ TEST(ScenarioRoundTrip, RandomScenariosAreStable) {
     sc.options.participation_fraction = rng.uniform();
     sc.options.target_accuracy = rng.uniform();
     sc.options.worker_threads = rng.uniform_index(9);
-    sc.options.tensor_pool = static_cast<int>(rng.uniform_index(3)) - 1;
     sc.options.upload_timeout =
         rng.uniform() < 0.5 ? std::numeric_limits<double>::infinity()
                             : rng.uniform(0.0, 100.0);
@@ -278,25 +273,21 @@ class ScopedEnv {
 
 TEST(ScenarioPrecedence, EnvOverlaysScenarioTier) {
   const fl::Scenario sc = fl::parse_scenario(
-      "[scenario]\nversion = 1\n[run]\nworkers = 2\ntensor_pool = on\n"
+      "[scenario]\nversion = 1\n[run]\nworkers = 2\n"
       "[observability]\nreport = /tmp/from_file.jsonl\n");
   {
     ScopedEnv report("FEDCA_REPORT", "/tmp/from_env.jsonl");
     ScopedEnv threads("FEDCA_THREADS", "6");
-    ScopedEnv pool("FEDCA_TENSOR_POOL", "off");
     const fl::ExperimentOptions o = fl::resolve_options(sc);
     EXPECT_EQ(o.report_path, "/tmp/from_env.jsonl");
     EXPECT_EQ(o.worker_threads, 6u);
-    EXPECT_EQ(o.tensor_pool, 0);
   }
   // Without the env tier the file's values stand.
   ScopedEnv report("FEDCA_REPORT", nullptr);
   ScopedEnv threads("FEDCA_THREADS", nullptr);
-  ScopedEnv pool("FEDCA_TENSOR_POOL", nullptr);
   const fl::ExperimentOptions o = fl::resolve_options(sc);
   EXPECT_EQ(o.report_path, "/tmp/from_file.jsonl");
   EXPECT_EQ(o.worker_threads, 2u);
-  EXPECT_EQ(o.tensor_pool, 1);
 }
 
 TEST(ScenarioPrecedence, MalformedThreadsEnvIsIgnored) {

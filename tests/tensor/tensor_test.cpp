@@ -1,6 +1,8 @@
 // Tensor construction, access, reshaping, and error handling.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "tensor/tensor.hpp"
 
 namespace fedca {
@@ -102,6 +104,33 @@ TEST(Tensor, ValueSemantics) {
   Tensor b = a;
   b[0] = 9.0f;
   EXPECT_EQ(a[0], 1.0f);  // deep copy
+}
+
+TEST(Tensor, CopyAssignReusesCapacity) {
+  Tensor src({128});
+  for (std::size_t i = 0; i < src.numel(); ++i) src[i] = static_cast<float>(i);
+  Tensor dst({128});
+  const float* dst_data = dst.raw();
+  dst = src;
+  EXPECT_EQ(dst.raw(), dst_data) << "same-size copy-assign must not reallocate";
+  for (std::size_t i = 0; i < dst.numel(); ++i) {
+    ASSERT_EQ(dst[i], static_cast<float>(i));
+  }
+}
+
+TEST(Tensor, MoveLeavesSourceEmpty) {
+  Tensor a({2, 3}, 1.0f);
+  const float* data = a.raw();
+  Tensor b = std::move(a);
+  EXPECT_EQ(b.raw(), data);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.shape().empty());
+  Tensor c({4}, 2.0f);
+  c = std::move(b);
+  EXPECT_EQ(c.raw(), data);
+  EXPECT_EQ(c.shape(), (Shape{2, 3}));
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.shape().empty());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Raw allocation in src/tensor outside pool.cpp.
+// Raw allocation in src/tensor.
 #include <cstdlib>
 
 namespace fixture {

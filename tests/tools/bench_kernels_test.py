@@ -5,7 +5,8 @@ google-benchmark reports each row's real_time in that row's own time_unit.
 The runner must convert every row to nanoseconds before writing
 `real_time_ns`. A stub micro_kernels binary prints a synthetic benchmark
 JSON with ns, us and ms rows; the test runs the real script against it and
-checks the recorded values.
+checks the recorded values and the host provenance stamp (nproc and CPU
+model, tools/host_provenance.py).
 
 Run directly (python3 tests/tools/bench_kernels_test.py) or via ctest.
 """
@@ -51,7 +52,8 @@ class RealTimeUnits(unittest.TestCase):
                 capture_output=True, text=True)
             self.assertEqual(proc.returncode, 0, proc.stderr)
             with open(out, encoding="utf-8") as f:
-                after = json.load(f)["after"]
+                recorded = json.load(f)
+        after = recorded["after"]
 
         self.assertEqual(after["BM_Axpy/65536"]["real_time_ns"], 8248.7)
         self.assertEqual(after["BM_ConvForward"]["real_time_ns"], 253321.2)
@@ -60,6 +62,12 @@ class RealTimeUnits(unittest.TestCase):
         self.assertEqual(after["BM_RoundThroughput/1"]["items_per_second"],
                          226.4)
         self.assertNotIn("BM_RoundThroughput/1_mean", after)
+
+        host = recorded["host"]
+        self.assertIsInstance(host["nproc"], int)
+        self.assertGreaterEqual(host["nproc"], 1)
+        self.assertIsInstance(host["cpu_model"], str)
+        self.assertTrue(host["cpu_model"])
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ re-measures the retained naive kernel so the comparison stays honest on
 other hosts.
 
 Provenance: the binary stamps fedca_build_type and fedca_simd_tier into
-the benchmark context (recorded in the output JSON). A debug build is
+the benchmark context, and the runner stamps the host (nproc, CPU model;
+tools/host_provenance.py); both are recorded in the output JSON. A debug build is
 refused with exit 2 — checked-in BENCH numbers must come from an
 optimized build. Usage:
 
@@ -21,6 +22,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+from host_provenance import host_provenance
 
 # Frozen pre-PR measurements (ns) on the reference container. BM_Gemm was
 # the naive triple loop then — identical code to today's BM_GemmRef.
@@ -114,6 +117,7 @@ def main() -> int:
         "description": "Kernel microbenches: frozen pre-optimization baseline "
                        "(before_ns) vs current build (after).",
         "context": data.get("context", {}),
+        "host": host_provenance(),
         "before_ns": BASELINE_NS,
         "after": after,
         "speedup": speedups,

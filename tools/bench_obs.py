@@ -15,9 +15,10 @@ Three measurements, two of them gated:
     run_report.jsonl bytes (mode=report) identical across workers
     {1,2,8}.
 
-Provenance: the harness reports its build_type and simd_tier; a debug
-build is refused with exit 2 so checked-in numbers always come from an
-optimized build.
+Provenance: the harness reports its build_type and simd_tier and the
+runner stamps the host (nproc, CPU model; tools/host_provenance.py); a
+debug build is refused with exit 2 so checked-in numbers always come from
+an optimized build.
 
 Usage:
     python3 tools/bench_obs.py [--build build] [--out BENCH_obs.json]
@@ -29,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from host_provenance import host_provenance
 
 OVERHEAD_LIMIT = 1.05
 
@@ -124,6 +127,7 @@ def main() -> int:
                        "worker counts and recorder on/off.",
         "build_type": events.get("build_type"),
         "simd_tier": events.get("simd_tier"),
+        "host": host_provenance(),
         "events_per_second": round(events["events_per_second"], 1),
         "events_dropped": events["dropped"],
         "overhead": {

@@ -12,8 +12,10 @@ Gates (exit 1 on failure):
     both representations existed, so it keeps the original ">= 100x
     smaller" acceptance as a fixed number.
 
-Provenance: the harness reports its build_type; a debug build is refused
-with exit 2 so checked-in numbers always come from an optimized build.
+Provenance: the harness reports its build_type and the runner stamps the
+host (nproc, CPU model; tools/host_provenance.py); a debug build is
+refused with exit 2 so checked-in numbers always come from an optimized
+build.
 
 Usage:
     python3 tools/bench_scale.py [--build build] [--out BENCH_scale.json]
@@ -23,6 +25,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+from host_provenance import host_provenance
 
 SWEEP_CLIENTS = (1_000, 10_000, 100_000, 1_000_000)
 RSS_LIMIT_BYTES = 2 * 1024**3
@@ -91,6 +95,7 @@ def main() -> int:
                        "population size, plus live client-state bytes "
                        "at 100k clients.",
         "build_type": probe.get("build_type"),
+        "host": host_provenance(),
         "rounds": args.rounds,
         "sweep": sweep,
         "live_bytes": live,

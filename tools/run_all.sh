@@ -72,8 +72,8 @@ if [ "${FEDCA_BENCH_KERNELS:-1}" != "0" ]; then
 fi
 
 # Allocation bench: refresh BENCH_memory.json via the counting-allocator
-# harness (heap allocations per steady-state round, pool off vs on; fails
-# if the pool-on reduction drops below 10x). FEDCA_BENCH_MEMORY=0 skips.
+# harness (heap allocations and peak heap per steady-state round at 1 and
+# 4 workers). FEDCA_BENCH_MEMORY=0 skips.
 if [ "${FEDCA_BENCH_MEMORY:-1}" != "0" ]; then
   echo "===== memory bench ====="
   python3 tools/bench_memory.py --build build --out BENCH_memory.json \
@@ -139,16 +139,14 @@ if [ "${FEDCA_TSAN:-1}" != "0" ]; then
     >>/root/repo/tsan_output.txt 2>&1 &&
   cmake --build build-tsan --target obs_metrics_test obs_trace_test \
     obs_recorder_test fl_round_engine_test fl_parallel_determinism_test \
-    fl_async_engine_test tensor_pool_test tensor_simd_kernels_test \
+    fl_async_engine_test tensor_simd_kernels_test \
     tensor_gemm_property_test -j "$(nproc)" \
     >>/root/repo/tsan_output.txt 2>&1 &&
   for t in obs_metrics_test obs_trace_test obs_recorder_test \
            fl_round_engine_test fl_parallel_determinism_test \
-           fl_async_engine_test tensor_pool_test; do
+           fl_async_engine_test; do
     echo "--- $t (tsan) ---"
-    # FEDCA_TENSOR_POOL=1 routes every Tensor buffer through the pool's
-    # thread-cache/global-tier handoff while the engines run multithreaded.
-    FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t" || exit 1
+    "build-tsan/tests/$t" || exit 1
   done 2>&1 | tee -a /root/repo/tsan_output.txt
   # Kernel property suites under TSan in both dispatch tiers: the packed
   # GEMM's thread_local scratch and the once-resolved tier cache are the
@@ -156,7 +154,7 @@ if [ "${FEDCA_TSAN:-1}" != "0" ]; then
   for tier in scalar auto; do
     for t in tensor_simd_kernels_test tensor_gemm_property_test; do
       echo "--- $t (tsan, FEDCA_SIMD=$tier) ---"
-      FEDCA_SIMD=$tier FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t" || exit 1
+      FEDCA_SIMD=$tier "build-tsan/tests/$t" || exit 1
     done
   done 2>&1 | tee -a /root/repo/tsan_output.txt
 fi
@@ -171,11 +169,10 @@ if [ "${FEDCA_ASAN:-1}" != "0" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >>/root/repo/asan_output.txt 2>&1 &&
   cmake --build build-asan --target sim_fault_injection_test \
-    fl_robustness_test tensor_pool_test -j "$(nproc)" \
+    fl_robustness_test -j "$(nproc)" \
     >>/root/repo/asan_output.txt 2>&1 &&
-  for t in sim_fault_injection_test fl_robustness_test tensor_pool_test; do
+  for t in sim_fault_injection_test fl_robustness_test; do
     echo "--- $t (asan+ubsan) ---"
-    # Pool on: recycled-buffer lifetime and poisoning run under ASan too.
-    FEDCA_TENSOR_POOL=1 "build-asan/tests/$t" || exit 1
+    "build-asan/tests/$t" || exit 1
   done 2>&1 | tee -a /root/repo/asan_output.txt
 fi
