@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     std::size_t applied = 0;
     for (const auto& round : result.rounds) {
       for (const auto& c : round.clients) {
-        if (c.collected) ++applied;
+        if (c.collected()) ++applied;
       }
     }
     table.add_row({result.scheme_name, std::to_string(applied),

@@ -1,4 +1,4 @@
-// Observability harness — drives the flight recorder and the RoundReport
+// Observability harness — drives the flight recorder and the run report
 // pipeline for tools/bench_obs.py and the golden-report ctest. Modes:
 //
 //   mode=events   threads=T count=N

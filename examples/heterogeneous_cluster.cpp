@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       durations.push_back(round.duration());
       std::vector<double> arrivals;
       for (const auto& c : round.clients) {
-        if (c.collected) arrivals.push_back(c.arrival_time - round.start_time);
+        if (c.collected()) arrivals.push_back(c.arrival_time - round.start_time);
       }
       if (arrivals.size() > 1) {
         std::sort(arrivals.begin(), arrivals.end());

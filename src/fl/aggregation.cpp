@@ -55,7 +55,7 @@ bool StreamingQuorum::eligible(const ClientRoundResult& r) const {
   return !(r.arrival_time > timeout_cut_);
 }
 
-void StreamingQuorum::discard(ClientRoundResult& r) {
+void StreamingQuorum::release_payload(ClientRoundResult& r) {
   r.applied_update = nn::ModelState{};
   for (EagerRecord& e : r.eager) e.value = tensor::Tensor{};
 }
@@ -72,7 +72,7 @@ void StreamingQuorum::offer(std::size_t index) {
   };
   util::MutexLock lock(mutex_);
   if (!eligible(results[index])) {
-    discard(results[index]);
+    release_payload(results[index]);
     return;
   }
   if (heap_.size() < quota_) {
@@ -82,11 +82,11 @@ void StreamingQuorum::offer(std::size_t index) {
   }
   // Full: either the newcomer or the current latest retained entry goes.
   if (!earlier(index, heap_.front())) {
-    discard(results[index]);
+    release_payload(results[index]);
     return;
   }
   std::pop_heap(heap_.begin(), heap_.end(), earlier);
-  discard(results[heap_.back()]);
+  release_payload(results[heap_.back()]);
   heap_.back() = index;
   std::push_heap(heap_.begin(), heap_.end(), earlier);
 }

@@ -25,8 +25,9 @@ std::size_t collect_quota(std::size_t quota_base, double fraction);
 // Weighted mean of the selected updates, added in place to `global`.
 // Weights are each client's `weight` (dataset size), normalized over the
 // selected subset. Returns the normalized weight per selected entry
-// (parallel to `selected`; sums to 1). Throws if `selected` is empty or
-// layouts mismatch.
+// (parallel to `selected`; sums to 1), which the round engine stores as
+// each collected client's `collected_weight`. Throws if `selected` is
+// empty or layouts mismatch.
 std::vector<double> apply_aggregated_update(nn::ModelState& global,
                                             const std::vector<ClientRoundResult>& results,
                                             const std::vector<std::size_t>& selected);
@@ -44,7 +45,8 @@ std::vector<double> apply_aggregated_update(nn::ModelState& global,
 // timeout) and entries evicted when a smaller arrival displaces them.
 // Bookkeeping fields (arrival times, byte counts, eager metadata) are left
 // intact for records, reports and metrics. The selection does not depend on
-// the order of the offers.
+// the order of the offers. The quorum only selects: the round engine turns
+// the selection into each client's ClientOutcome.
 class StreamingQuorum {
  public:
   // `results` must stay alive and keep its size for the quorum's lifetime;
@@ -59,9 +61,13 @@ class StreamingQuorum {
   // offer.
   std::vector<std::size_t> collected();
 
+  // Frees a result's update payload (applied_update and the eager layer
+  // values) and keeps every bookkeeping field. run_experiment also uses it
+  // to store round records without their tensors.
+  static void release_payload(ClientRoundResult& r);
+
  private:
   bool eligible(const ClientRoundResult& r) const;
-  static void discard(ClientRoundResult& r);
 
   std::vector<ClientRoundResult>* results_;
   std::size_t quota_;

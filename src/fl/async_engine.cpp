@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "fl/run_report.hpp"
 #include "nn/sgd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/round_report.hpp"
@@ -15,23 +16,23 @@ namespace fedca::fl {
 
 namespace {
 
-// Appends one async_update line to the run report (no-op until
+// Appends `record`'s async_update line to the run report (no-op until
 // obs::configure arms the writer). `seq` is the engine's monotone record
 // counter, bumped only when a line is actually written.
-void report_async_update(std::size_t& seq, std::size_t client, double arrival,
-                         std::size_t staleness, double weight, bool lost,
+void report_async_update(std::size_t& seq, const AsyncUpdateRecord& record,
                          const char* outcome) {
   obs::RoundReportWriter& reporter = obs::RoundReportWriter::global();
   if (!reporter.enabled()) return;
-  obs::AsyncUpdateReport report;
-  report.update_index = seq++;
-  report.client_id = client;
-  report.arrival_time = arrival;
-  report.staleness = staleness;
-  report.weight = weight;
-  report.lost = lost;
-  report.outcome = outcome;
-  reporter.append(report);
+  reporter.append_line(to_json_line(record, seq++, outcome));
+}
+
+// The record of a client that can never deliver again.
+AsyncUpdateRecord dead_client(std::size_t client, double at) {
+  AsyncUpdateRecord record;
+  record.client_id = client;
+  record.arrival_time = at;
+  record.lost = true;
+  return record;
 }
 
 }  // namespace
@@ -135,7 +136,7 @@ void AsyncEngine::launch(std::size_t c, double t) {
         tracer.record_instant(pid, "fault.crash", t,
                               {{"client", std::to_string(c)}});
       }
-      report_async_update(report_sequence_, c, t, 0, 0.0, true, "crash");
+      report_async_update(report_sequence_, dead_client(c, t), "crash");
       sim::notify_fault_dump();
       return;
     }
@@ -167,7 +168,7 @@ void AsyncEngine::launch(std::size_t c, double t) {
       tracer.record_instant(pid, "fault.link_outage", start,
                             {{"client", std::to_string(c)}});
     }
-    report_async_update(report_sequence_, c, start, 0, 0.0, true, "link_outage");
+    report_async_update(report_sequence_, dead_client(c, start), "link_outage");
     return;
   }
 
@@ -264,10 +265,8 @@ AsyncUpdateRecord AsyncEngine::step() {
     record.weight = 0.0;
     record.lost = true;
     FEDCA_MCOUNT("faults.async_lost", 1.0);
-    report_async_update(report_sequence_, winner, record.arrival_time,
-                        record.staleness, 0.0, true,
-                        flight.lost_cause[0] != '\0' ? flight.lost_cause
-                                                     : "dropout");
+    report_async_update(report_sequence_, record,
+                        flight.lost_cause[0] != '\0' ? flight.lost_cause : "dropout");
     launch(winner, clock_);
     return record;
   }
@@ -305,8 +304,7 @@ AsyncUpdateRecord AsyncEngine::step() {
          {"staleness", std::to_string(record.staleness)},
          {"version", std::to_string(record.applied_version)}});
   }
-  report_async_update(report_sequence_, winner, record.arrival_time,
-                      record.staleness, record.weight, false, "applied");
+  report_async_update(report_sequence_, record, "applied");
 
   launch(winner, clock_);
   return record;

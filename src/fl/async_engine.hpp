@@ -103,7 +103,7 @@ class AsyncEngine {
     std::shared_ptr<const nn::ModelState> snapshot;
     bool lost = false;        // cycle abandoned at arrival_time
     // Why the cycle was abandoned ("crash"/"dropout"/"timeout"); points at
-    // a string literal, consumed by the RoundReport pipeline.
+    // a string literal, the run report's async_update outcome.
     const char* lost_cause = "";
     bool dead = false;        // client permanently out (crash / dead link)
     // Speculative training cache: the cycle's SGD result (and the replica's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <map>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -13,8 +12,8 @@ namespace fedca::fl {
 
 std::vector<double> ExperimentResult::early_stop_iterations() const {
   std::vector<double> out;
-  for (const RoundSummary& round : rounds) {
-    for (const ClientRoundSummary& c : round.clients) {
+  for (const RoundRecord& round : rounds) {
+    for (const ClientRoundResult& c : round.clients) {
       if (c.early_stopped) out.push_back(static_cast<double>(c.iterations_run));
     }
   }
@@ -23,8 +22,8 @@ std::vector<double> ExperimentResult::early_stop_iterations() const {
 
 std::vector<double> ExperimentResult::eager_iterations(bool effective_with_retrans) const {
   std::vector<double> out;
-  for (const RoundSummary& round : rounds) {
-    for (const ClientRoundSummary& c : round.clients) {
+  for (const RoundRecord& round : rounds) {
+    for (const ClientRoundResult& c : round.clients) {
       for (const auto& e : c.eager) {
         if (effective_with_retrans && e.retransmitted) {
           out.push_back(static_cast<double>(c.iterations_run));
@@ -98,53 +97,6 @@ nn::Classifier::EvalResult evaluate_global(ExperimentSetup& setup) {
   return setup.model->evaluate(test.inputs, test.labels);
 }
 
-namespace {
-
-RoundSummary summarize(const RoundRecord& record) {
-  RoundSummary summary;
-  summary.round_index = record.round_index;
-  summary.start_time = record.start_time;
-  summary.end_time = record.end_time;
-  summary.deadline = record.deadline;
-  // Ordered map, not unordered: this is an output-affecting path (the
-  // summaries land in result tables), and the analyzer's unordered-iter
-  // rule bans hash containers here — lookup-only today is one range-for
-  // away from hash-order output tomorrow. Size is O(participants), so the
-  // tree map costs nothing measurable.
-  std::map<std::size_t, double> collected;
-  for (std::size_t k = 0; k < record.collected.size(); ++k) {
-    collected.emplace(record.collected[k],
-                      k < record.collected_weights.size()
-                          ? record.collected_weights[k]
-                          : 0.0);
-  }
-  summary.clients.reserve(record.clients.size());
-  for (std::size_t i = 0; i < record.clients.size(); ++i) {
-    const ClientRoundResult& r = record.clients[i];
-    ClientRoundSummary c;
-    c.client_id = r.client_id;
-    c.iterations_run = r.iterations_run;
-    c.planned_iterations = r.planned_iterations;
-    c.early_stopped = r.early_stopped;
-    c.arrival_time = r.arrival_time;
-    c.compute_seconds = r.compute_seconds;
-    c.bytes_sent = r.bytes_sent;
-    c.eager_bytes = r.eager_bytes;
-    c.failed = r.failed;
-    const auto it = collected.find(i);
-    c.collected = it != collected.end();
-    c.collected_weight = c.collected ? it->second : 0.0;
-    c.eager.reserve(r.eager.size());
-    for (const EagerRecord& e : r.eager) {
-      c.eager.push_back({e.layer, e.iteration, e.retransmitted});
-    }
-    summary.clients.push_back(std::move(c));
-  }
-  return summary;
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const ExperimentOptions& options, Scheme& scheme) {
   // Arm tracing/metrics before any round runs so the first round's spans
   // are captured; flush_paths remembers where to write at the end.
@@ -157,8 +109,8 @@ ExperimentResult run_experiment(const ExperimentOptions& options, Scheme& scheme
 
   std::vector<double> recent_acc;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
-    RoundRecord record = setup.engine->run_round();
-    result.rounds.push_back(summarize(record));
+    RoundRecord& record = result.rounds.emplace_back(setup.engine->run_round());
+    for (ClientRoundResult& c : record.clients) StreamingQuorum::release_payload(c);
 
     if (round % std::max<std::size_t>(1, options.eval_every) == 0 ||
         round + 1 == options.max_rounds) {
@@ -194,7 +146,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options, Scheme& scheme
   result.total_time = setup.engine->now();
   if (!result.rounds.empty()) {
     double sum = 0.0;
-    for (const RoundSummary& r : result.rounds) sum += r.duration();
+    for (const RoundRecord& r : result.rounds) sum += r.duration();
     result.mean_round_seconds = sum / static_cast<double>(result.rounds.size());
   }
   FEDCA_MGAUGE("experiment.final_accuracy", result.final_accuracy);

@@ -3,9 +3,9 @@
 //
 // This is the harness behind Fig. 7 / Table 1 and every downstream bench:
 // run a scheme on a workload until the target accuracy (or a round cap),
-// recording the accuracy trajectory over *virtual* time plus per-round
-// behavioural summaries (early-stop moments, eager transmissions) that
-// Figs. 8-10 consume.
+// recording the accuracy trajectory over *virtual* time plus every round's
+// RoundRecord (per-client outcomes, early-stop moments, eager
+// transmissions) that Figs. 8-10 consume.
 #pragma once
 
 #include <cstdint>
@@ -72,47 +72,16 @@ struct ExperimentOptions {
   // round report have near-zero cost when disarmed.
   std::string trace_path;
   std::string metrics_path;
-  std::string report_path;  // run_report.jsonl (see obs/round_report.hpp)
-};
-
-// Per-client behavioural summary of one round — everything the figures
-// need, with the heavy update tensors stripped.
-struct ClientRoundSummary {
-  std::size_t client_id = 0;
-  std::size_t iterations_run = 0;
-  std::size_t planned_iterations = 0;
-  bool early_stopped = false;
-  double arrival_time = 0.0;
-  double compute_seconds = 0.0;
-  double bytes_sent = 0.0;
-  double eager_bytes = 0.0;  // eager-transmission share of bytes_sent
-  bool collected = false;
-  // Normalized aggregation weight when collected (0 otherwise); the
-  // collected weights of a round sum to 1.
-  double collected_weight = 0.0;
-  bool failed = false;  // fault injection: client delivered nothing
-  struct EagerSummary {
-    std::size_t layer = 0;
-    std::size_t iteration = 0;
-    bool retransmitted = false;
-  };
-  std::vector<EagerSummary> eager;
-};
-
-struct RoundSummary {
-  std::size_t round_index = 0;
-  double start_time = 0.0;
-  double end_time = 0.0;
-  double deadline = kNoDeadline;
-  std::vector<ClientRoundSummary> clients;
-  double duration() const { return end_time - start_time; }
+  std::string report_path;  // run_report.jsonl (see fl/run_report.hpp)
 };
 
 struct ExperimentResult {
   std::string scheme_name;
   std::string model_name;
   std::vector<EvalPoint> curve;          // accuracy trajectory
-  std::vector<RoundSummary> rounds;
+  // Every round's record as the engine decided it, with the update
+  // tensors released (empty applied_update and eager values).
+  std::vector<RoundRecord> rounds;
   bool reached_target = false;
   double time_to_target = 0.0;           // virtual seconds (valid if reached)
   std::size_t rounds_to_target = 0;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "fl/run_report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/round_report.hpp"
 #include "obs/trace.hpp"
@@ -200,10 +201,11 @@ RoundRecord RoundEngine::run_round() {
   }
 
   // Delivered uploads that missed the upload cut-off: the quorum already
-  // excluded them; count and trace them here, in participant order.
+  // excluded them; mark, count and trace them here, in participant order.
   obs::TraceCollector& tracer = obs::TraceCollector::global();
-  for (const ClientRoundResult& r : record.clients) {
+  for (ClientRoundResult& r : record.clients) {
     if (r.failed || !std::isfinite(r.arrival_time) || r.arrival_time <= timeout_cut) continue;
+    r.outcome = ClientOutcome::kTimedOut;
     FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
     if (tracer.enabled()) {
       tracer.record_instant(client_pid(r.client_id), "recovery.timeout_exclude",
@@ -215,22 +217,26 @@ RoundRecord RoundEngine::run_round() {
   }
 
   double quorum_time = clock_;
+  std::vector<std::size_t> collected;  // indices into record.clients
   {
     // The server's real aggregation work happens here; the virtual clock
     // charges it nothing (the paper's server is never the bottleneck), so
     // it shows up as a wall-clock span plus a virtual instant.
     FEDCA_WALL_SPAN("server.aggregate");
-    record.collected = quorum.collected();
-    if (!record.collected.empty()) {
-      record.collected_weights =
-          apply_aggregated_update(global_, record.clients, record.collected);
-      for (const std::size_t idx : record.collected) {
-        quorum_time = std::max(quorum_time, record.clients[idx].arrival_time);
+    collected = quorum.collected();
+    if (!collected.empty()) {
+      const std::vector<double> weights =
+          apply_aggregated_update(global_, record.clients, collected);
+      for (std::size_t j = 0; j < collected.size(); ++j) {
+        ClientRoundResult& r = record.clients[collected[j]];
+        r.outcome = ClientOutcome::kCollected;
+        r.collected_weight = weights[j];
+        quorum_time = std::max(quorum_time, r.arrival_time);
       }
     }
   }
   double end_time = quorum_time;
-  if (record.collected.empty()) {
+  if (collected.empty()) {
     // Every participant failed (or timed out): the global model stands and
     // the round ends at a finite fallback time so the clock stays sane.
     double fallback = record.start_time;
@@ -251,14 +257,13 @@ RoundRecord RoundEngine::run_round() {
                               std::to_string(record.clients.size())}});
     }
   } else if (faults != nullptr || timeout_cut != kNoDeadline) {
-    if (record.collected.size() < quota) {
+    if (collected.size() < quota) {
       FEDCA_MCOUNT("engine.partial_rounds", 1.0);
       if (tracer.enabled()) {
         tracer.record_instant(server_pid(), "recovery.partial_aggregation",
                               end_time,
                               {{"round", std::to_string(record.round_index)},
-                               {"collected",
-                                std::to_string(record.collected.size())},
+                               {"collected", std::to_string(collected.size())},
                                {"planned", std::to_string(quota)}});
       }
     }
@@ -271,72 +276,20 @@ RoundRecord RoundEngine::run_round() {
     tracer.record_span(server_pid(), "round", record.start_time, record.end_time,
                        {{"round", std::to_string(record.round_index)},
                         {"deadline", fmt_num(record.deadline)},
-                        {"collected", std::to_string(record.collected.size())},
+                        {"collected", std::to_string(collected.size())},
                         {"participants", std::to_string(record.clients.size())}});
     tracer.record_span(server_pid(), "aggregate", record.end_time, record.end_time,
                        {{"round", std::to_string(record.round_index)},
-                        {"updates", std::to_string(record.collected.size())}});
+                        {"updates", std::to_string(collected.size())}});
   }
   FEDCA_MCOUNT("engine.rounds", 1.0);
   FEDCA_MHISTO("engine.round_seconds", 0.0, 600.0, 60, record.duration());
 
-  // Round attribution: one JSONL line per round with the deadline
-  // estimate vs realized times, a per-client outcome, and the straggler
-  // classification. Everything here is virtual-clock data copied from the
-  // record on the main thread, so the report is bit-identical across
-  // worker counts and recorder on/off.
+  // Round attribution: one JSONL line per round, serialized from the
+  // record on the main thread (virtual-clock data only), so the report is
+  // bit-identical across worker counts and recorder on/off.
   obs::RoundReportWriter& reporter = obs::RoundReportWriter::global();
-  if (reporter.enabled()) {
-    obs::RoundReport report;
-    report.round_index = record.round_index;
-    report.start_time = record.start_time;
-    report.end_time = record.end_time;
-    report.deadline = record.deadline;  // kNoDeadline serializes as null
-    report.population = record.population;
-    report.offline = record.offline;
-    std::vector<char> collected_flag(record.clients.size(), 0);
-    std::vector<double> weight_of(record.clients.size(), 0.0);
-    for (std::size_t j = 0; j < record.collected.size(); ++j) {
-      const std::size_t idx = record.collected[j];
-      collected_flag[idx] = 1;
-      if (j < record.collected_weights.size()) {
-        weight_of[idx] = record.collected_weights[j];
-      }
-    }
-    report.clients.reserve(record.clients.size());
-    for (std::size_t i = 0; i < record.clients.size(); ++i) {
-      const ClientRoundResult& r = record.clients[i];
-      obs::ClientRoundReport c;
-      c.client_id = r.client_id;
-      if (r.failed) {
-        c.outcome = r.fault == ClientFault::kCrash        ? "crashed"
-                    : r.fault == ClientFault::kLinkOutage ? "link_outage"
-                                                          : "dropout";
-      } else if (std::isfinite(r.arrival_time) && r.arrival_time > timeout_cut) {
-        c.outcome = "timed_out";
-      } else if (collected_flag[i]) {
-        c.outcome = "collected";
-        c.weight = weight_of[i];
-      } else {
-        c.outcome = "shed";
-      }
-      c.iterations = r.iterations_run;
-      c.planned_iterations = r.planned_iterations;
-      c.early_stopped = r.early_stopped;
-      c.tau = r.early_stopped ? r.compute_done : obs::kNoTime;
-      c.duration = std::isfinite(r.arrival_time)
-                       ? r.arrival_time - record.start_time
-                       : obs::kNoTime;
-      c.compute_seconds = r.compute_seconds;
-      c.bytes_sent = r.bytes_sent;
-      c.eager_bytes = r.eager_bytes;
-      c.eager_layers = r.eager.size();
-      c.retransmitted_layers = r.retransmitted_layers;
-      report.clients.push_back(std::move(c));
-    }
-    obs::finalize_round_report(report);
-    reporter.append(report);
-  }
+  if (reporter.enabled()) reporter.append_line(to_json_line(record));
 
   scheme_->observe_round(record);
   FEDCA_LOG_DEBUG("round_engine") << "round " << record.round_index << " done in "
@@ -374,25 +327,26 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   // client does past that point is lost.
   const sim::FaultInjector* faults = cluster_->faults().get();
   double fail_time = kNoDeadline;
-  ClientFault fail_kind = ClientFault::kNone;
+  ClientOutcome fail_kind = ClientOutcome::kDropout;
   if (faults != nullptr) {
     const double off = faults->next_offline(client_id, info.start_time);
     if (std::isfinite(off)) {
       fail_time = off;
       fail_kind = faults->offline_kind(client_id, off) == sim::FaultKind::kCrash
-                      ? ClientFault::kCrash
-                      : ClientFault::kDropout;
+                      ? ClientOutcome::kCrashed
+                      : ClientOutcome::kDropout;
     }
   }
-  const auto fail = [&](double at, ClientFault kind) {
+  // `kind` is one of the three fault outcomes.
+  const auto fail = [&](double at, ClientOutcome kind) {
     result.failed = true;
-    result.fault = kind;
+    result.outcome = kind;
     result.fail_time = at;
     result.arrival_time = kNoDeadline;
-    const char* name = kind == ClientFault::kCrash       ? "fault.crash"
-                       : kind == ClientFault::kLinkOutage ? "fault.link_outage"
-                                                          : "fault.dropout";
-    if (kind == ClientFault::kCrash) {
+    const char* name = kind == ClientOutcome::kCrashed       ? "fault.crash"
+                       : kind == ClientOutcome::kLinkOutage ? "fault.link_outage"
+                                                            : "fault.dropout";
+    if (kind == ClientOutcome::kCrashed) {
       // A crash is a one-time event per client: the mid-round failure here
       // and the next round's participant exclusion must not both count it.
       if (client_id < crash_reported_.size() && crash_reported_[client_id]) {
@@ -400,7 +354,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
       }
       if (client_id < crash_reported_.size()) crash_reported_[client_id] = 1;
       FEDCA_MCOUNT("faults.crashes", 1.0);
-    } else if (kind == ClientFault::kLinkOutage) {
+    } else if (kind == ClientOutcome::kLinkOutage) {
       FEDCA_MCOUNT("faults.link_outages", 1.0);
     } else {
       FEDCA_MCOUNT("faults.dropouts", 1.0);
@@ -410,7 +364,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
                             {{"client", std::to_string(client_id)},
                              {"round", std::to_string(info.round_index)}});
     }
-    if (kind == ClientFault::kCrash) {
+    if (kind == ClientOutcome::kCrashed) {
       // Crash dump: persist the recorder rings — the last events every
       // thread saw, including the fault.crash instant just recorded — at
       // the moment the injected crash fires.
@@ -435,7 +389,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   if (!std::isfinite(download.end)) {
     // The downlink is in a permanent outage: the model never arrives.
     result.compute_done = info.start_time;
-    fail(info.start_time, ClientFault::kLinkOutage);
+    fail(info.start_time, ClientOutcome::kLinkOutage);
     return result;
   }
   if (download.end > fail_time) {
@@ -683,7 +637,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   }
   if (!std::isfinite(upload.end)) {
     // Permanent uplink outage: the update never reaches the server.
-    fail(t, ClientFault::kLinkOutage);
+    fail(t, ClientOutcome::kLinkOutage);
     policy.on_round_end(info);
     return result;
   }

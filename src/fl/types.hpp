@@ -13,9 +13,18 @@ namespace fedca::fl {
 
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
-// How a participant left a round early (fault injection; kNone in the
-// fault-free simulation).
-enum class ClientFault { kNone, kCrash, kDropout, kLinkOutage };
+// What became of one participant's round. The round engine decides it
+// once per client; the experiment result and the run report both read it.
+// Mutually exclusive:
+//   kCollected  — the update arrived in time and entered the aggregate
+//   kShed       — arrived, but was not among the earliest arrivals the
+//                 partial-aggregation quorum keeps
+//   kTimedOut   — arrived after the upload timeout
+//   kCrashed    — permanent injected crash before the update arrived
+//   kDropout    — transient offline window swallowed the round's work
+//   kLinkOutage — a transfer stalled forever on a dead link
+// Early stopping is orthogonal (a collected client may have stopped early).
+enum class ClientOutcome { kCollected, kShed, kTimedOut, kCrashed, kDropout, kLinkOutage };
 
 // One eagerly transmitted layer (Sec. 4.3): which layer, when it was sent
 // (iteration + virtual arrival time at the server), and the update value
@@ -32,10 +41,13 @@ struct EagerRecord {
 };
 
 // What one client contributed to one round, with full system accounting.
+// This is the only per-client round record: run_experiment keeps it (with
+// the update tensors released) and the run report serializes it.
 struct ClientRoundResult {
   std::size_t client_id = 0;
   // The per-layer update the server will apply for this client (eager
-  // values where they stand, final values elsewhere).
+  // values where they stand, final values elsewhere). Empty once the
+  // quorum has released the payload.
   nn::ModelState applied_update;
   // Aggregation weight (local dataset size).
   double weight = 1.0;
@@ -57,8 +69,16 @@ struct ClientRoundResult {
 
   // --- fault accounting (all default when no injector is installed) ---
   bool failed = false;             // client never delivered a usable update
-  ClientFault fault = ClientFault::kNone;
   double fail_time = kNoDeadline;  // virtual time the fault struck
+
+  // --- the round's verdict on this client ---
+  // run_client sets the fault outcomes and run_round the timeouts and the
+  // quorum's picks; a delivered update left over is shed.
+  ClientOutcome outcome = ClientOutcome::kShed;
+  // Normalized aggregation weight when collected (0 otherwise); the
+  // collected weights of a round sum to 1.
+  double collected_weight = 0.0;
+  bool collected() const { return outcome == ClientOutcome::kCollected; }
 };
 
 // Everything that happened in one round.
@@ -73,10 +93,6 @@ struct RoundRecord {
   std::size_t population = 0;
   std::size_t offline = 0;
   std::vector<ClientRoundResult> clients;   // every participant
-  std::vector<std::size_t> collected;       // indices into `clients` aggregated
-  // Normalized aggregation weight per collected entry (sums to 1 whenever
-  // `collected` is non-empty); parallel to `collected`.
-  std::vector<double> collected_weights;
   double duration() const { return end_time - start_time; }
 };
 

@@ -39,12 +39,8 @@ std::size_t ModelState::layer_index(const std::string& name) const {
 
 ModelState capture_state(Module& model) {
   ModelState state;
-  capture_state_into(model, state);
+  capture_state_into(model.parameters(), state);
   return state;
-}
-
-void capture_state_into(Module& model, ModelState& out) {
-  capture_state_into(model.parameters(), out);
 }
 
 void capture_state_into(const std::vector<Parameter*>& params, ModelState& out) {
@@ -57,10 +53,6 @@ void capture_state_into(const std::vector<Parameter*>& params, ModelState& out) 
   for (std::size_t i = 0; i < params.size(); ++i) {
     out.tensors[i] = params[i]->value;  // capacity-reusing copy-assign
   }
-}
-
-void load_state(Module& model, const ModelState& state) {
-  load_state(model.parameters(), state);
 }
 
 void load_state(const std::vector<Parameter*>& params, const ModelState& state) {
@@ -77,18 +69,14 @@ void load_state(const std::vector<Parameter*>& params, const ModelState& state) 
 }
 
 ModelState state_sub(const ModelState& a, const ModelState& b) {
-  ModelState out;
-  state_sub_into(a, b, out);
-  return out;
-}
-
-void state_sub_into(const ModelState& a, const ModelState& b, ModelState& out) {
   if (!a.same_layout(b)) throw std::invalid_argument("state_sub: layout mismatch");
-  if (out.names.size() != a.names.size()) out.names = a.names;
+  ModelState out;
+  out.names = a.names;
   out.tensors.resize(a.tensors.size());
   for (std::size_t i = 0; i < a.tensors.size(); ++i) {
     tensor::sub_into(a.tensors[i], b.tensors[i], out.tensors[i]);
   }
+  return out;
 }
 
 void state_sub_inplace(ModelState& a, const ModelState& b) {
@@ -105,18 +93,6 @@ void state_add_scaled(ModelState& a, float alpha, const ModelState& b) {
   for (std::size_t i = 0; i < a.tensors.size(); ++i) {
     tensor::add_scaled(a.tensors[i], alpha, b.tensors[i]);
   }
-}
-
-ModelState state_zeros_like(const ModelState& like) {
-  ModelState out;
-  out.names = like.names;
-  out.tensors.reserve(like.tensors.size());
-  for (const auto& t : like.tensors) out.tensors.emplace_back(t.shape());
-  return out;
-}
-
-void state_scale(ModelState& state, float alpha) {
-  for (auto& t : state.tensors) tensor::scale(alpha, t.data());
 }
 
 double state_l2_norm(const ModelState& state) {

@@ -34,31 +34,20 @@ struct ModelState {
 
 // Captures the current parameter values of `model`.
 ModelState capture_state(Module& model);
-// Captures into `out`, reusing its tensor storage (and its names vector
-// when the layer count already matches — callers reuse `out` only across
-// captures of identically-laid-out models). Equivalent to
-// `out = capture_state(model)` without the allocations.
-void capture_state_into(Module& model, ModelState& out);
-// Same, over an already-flattened parameter list (e.g. a cached
-// Classifier::parameters() — avoids re-walking the module tree).
+// Captures a flattened parameter list (e.g. a cached
+// Classifier::parameters()) into `out`, reusing its tensor storage (and
+// its names vector when the layer count already matches — callers reuse
+// `out` only across captures of identically-laid-out models).
 void capture_state_into(const std::vector<Parameter*>& params, ModelState& out);
-// Writes `state` back into `model`'s parameters (layout must match).
-void load_state(Module& model, const ModelState& state);
-// Same, over an already-flattened parameter list.
+// Writes `state` back into the parameters (layout must match).
 void load_state(const std::vector<Parameter*>& params, const ModelState& state);
 
 // c = a - b (per layer). Layouts must match.
 ModelState state_sub(const ModelState& a, const ModelState& b);
-// out = a - b (per layer), reusing out's storage. Same values as state_sub.
-void state_sub_into(const ModelState& a, const ModelState& b, ModelState& out);
 // a -= b (per layer), in place. Same values as state_sub(a, b).
 void state_sub_inplace(ModelState& a, const ModelState& b);
 // a += alpha * b (per layer), in place.
 void state_add_scaled(ModelState& a, float alpha, const ModelState& b);
-// All-zero state with the same layout as `like`.
-ModelState state_zeros_like(const ModelState& like);
-// Multiplies every element by alpha, in place.
-void state_scale(ModelState& state, float alpha);
 // L2 norm over all layers.
 double state_l2_norm(const ModelState& state);
 

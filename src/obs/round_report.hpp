@@ -1,35 +1,16 @@
-// Per-round analytics — the data product that makes FL evaluations
-// trustworthy.
+// The run report's line sink (run_report.jsonl).
 //
-// The tracer answers "what happened when"; this module answers "who did
-// what to the round": for every round, the deadline estimate T_R vs the
-// realized client times, a per-client outcome record (collected /
-// early-stopped-at-τ / shed by partial aggregation / timed out / crashed
-// / dropout / link outage), eager layers sent vs retransmitted, and a
-// straggler classification (the slowest decile of realized durations,
-// compared against T_R). The async engine contributes one record per
-// applied or lost update with its staleness and mixing weight.
-//
-// Everything is measured on the *virtual* clock, so a report is
-// bit-reproducible for a given seed regardless of worker count — which
-// is what lets tools/report.py hold golden sha256 digests of whole runs.
-//
-// Output is JSONL ("run_report.jsonl"): one self-describing object per
-// line, "type":"round" or "type":"async_update". Lines are appended (and
-// the stream flushed) as each round completes, so a crashed run keeps
-// every round it finished. tools/report.py validates, renders, and
-// digests the file.
-//
-// The structs here are plain scalars only — obs stays independent of the
-// fl layer; the engines copy the fields they already track. Derived
-// fields (percentiles, straggler flags, outcome tallies) are computed by
-// finalize_round_report() so both engines and the tests share one
-// definition.
+// The fl layer serializes each round and async update straight from the
+// engines' records (fl/run_report.hpp); this writer only collects those
+// lines. It is process-global, armed by obs::configure (FEDCA_REPORT /
+// ExperimentOptions::report_path), appends and flushes every line as it
+// arrives — so a crashed run keeps every round it finished — and is
+// re-written whole by the atexit/fault dump. obs stays independent of fl:
+// the writer sees only strings.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,95 +19,8 @@
 
 namespace fedca::obs {
 
-inline constexpr double kNoTime = std::numeric_limits<double>::infinity();
-
-// Legal `outcome` values for a client's round, mutually exclusive:
-//   collected    — update arrived in time and entered the aggregate
-//   shed         — arrived (or would have) but was cut by the partial-
-//                  aggregation rule (not among the earliest arrivals)
-//   timed_out    — excluded by the upload timeout
-//   crashed      — permanent injected crash mid-round
-//   dropout      — transient offline window swallowed the round's work
-//   link_outage  — upload stalled forever on a dead link
-// Early stopping is orthogonal (a collected client may have early-stopped
-// at τ) and reported via `early_stopped`/`tau`.
-struct ClientRoundReport {
-  std::size_t client_id = 0;
-  std::string outcome = "collected";
-  std::size_t iterations = 0;
-  std::size_t planned_iterations = 0;
-  bool early_stopped = false;
-  double tau = kNoTime;      // virtual time compute stopped (early stop)
-  double duration = kNoTime;  // arrival − round start; kNoTime = never arrived
-  double compute_seconds = 0.0;
-  double bytes_sent = 0.0;
-  double eager_bytes = 0.0;  // eager-transmission share of bytes_sent
-  std::size_t eager_layers = 0;
-  std::size_t retransmitted_layers = 0;
-  double weight = 0.0;  // aggregation weight (0 unless collected)
-  // Derived by finalize_round_report():
-  bool straggler = false;      // slowest decile of realized durations
-  bool past_deadline = false;  // duration > deadline estimate T_R
-};
-
-struct RoundReport {
-  std::size_t round_index = 0;
-  double start_time = 0.0;
-  double end_time = 0.0;
-  double deadline = kNoTime;  // T_R (round-relative), kNoTime = unbounded
-  // Availability dynamics (population > 0 only when the layer is on):
-  // total population size and sampled clients skipped as offline. Emitted
-  // in JSON only when population > 0, so availability-free runs keep their
-  // historical byte-exact lines.
-  std::size_t population = 0;
-  std::size_t offline = 0;
-  std::vector<ClientRoundReport> clients;
-  // Derived by finalize_round_report():
-  std::size_t collected = 0;
-  std::size_t shed = 0;
-  std::size_t timed_out = 0;
-  std::size_t crashed = 0;
-  std::size_t dropout = 0;
-  std::size_t link_outage = 0;
-  std::size_t early_stops = 0;
-  std::size_t eager_layers = 0;
-  double eager_bytes = 0.0;  // summed over clients
-  std::size_t retransmitted_layers = 0;
-  double realized_p50 = kNoTime;  // percentiles of realized durations
-  double realized_p90 = kNoTime;
-  double realized_max = kNoTime;
-  double straggler_threshold = kNoTime;  // smallest straggler duration
-  std::size_t stragglers = 0;
-  bool deadline_overrun = false;  // realized_max > deadline
-};
-
-// One async-engine update (applied or lost).
-struct AsyncUpdateReport {
-  std::size_t update_index = 0;
-  std::size_t client_id = 0;
-  double arrival_time = 0.0;
-  std::size_t staleness = 0;
-  double weight = 0.0;
-  bool lost = false;
-  std::string outcome = "applied";  // applied|crash|dropout|link_outage|timeout
-};
-
-// Computes every derived field from round_index/start/end/deadline and
-// the raw client rows: outcome tallies, nearest-rank percentiles of the
-// realized (finite) durations, the slowest-decile straggler flags
-// (max(1, ceil(n/10)) of n finite durations; ties broken toward lower
-// client ids), and the deadline attribution.
-void finalize_round_report(RoundReport& report);
-
-// Serialization used by the writer and the tests (deterministic: %.10g
-// numbers, non-finite values as null, fixed key order).
-std::string to_json_line(const RoundReport& report);
-std::string to_json_line(const AsyncUpdateReport& report);
-
-// Process-global JSONL sink. Disabled until set_output_path() arms it
-// (FEDCA_REPORT / ExperimentOptions::report_path via obs::configure).
-// append() writes and flushes the line immediately — a crashed run keeps
-// every completed round.
+// Disabled until set_output_path() arms it. append_line() writes and
+// flushes the line immediately.
 class RoundReportWriter {
  public:
   static RoundReportWriter& global();
@@ -137,8 +31,7 @@ class RoundReportWriter {
   void set_output_path(std::string path);
   std::string output_path() const;
 
-  void append(const RoundReport& report);
-  void append(const AsyncUpdateReport& report);
+  void append_line(std::string line);
 
   std::size_t line_count() const;
   std::vector<std::string> lines() const;
@@ -151,8 +44,6 @@ class RoundReportWriter {
   void reset();
 
  private:
-  void append_line(std::string line);
-
   std::atomic<bool> enabled_{false};
   mutable util::Mutex mutex_;
   std::vector<std::string> lines_ FEDCA_GUARDED_BY(mutex_);

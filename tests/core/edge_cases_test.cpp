@@ -44,7 +44,7 @@ TEST(EdgeCases, SingleClientFederation) {
   EXPECT_EQ(result.rounds.size(), 6u);
   for (const auto& round : result.rounds) {
     EXPECT_EQ(round.clients.size(), 1u);
-    EXPECT_TRUE(round.clients[0].collected);
+    EXPECT_TRUE(round.clients[0].collected());
   }
 }
 

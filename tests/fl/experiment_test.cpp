@@ -113,7 +113,7 @@ TEST(Experiment, SummariesMarkCollectedClients) {
   for (const auto& round : result.rounds) {
     std::size_t collected = 0;
     for (const auto& c : round.clients) {
-      if (c.collected) ++collected;
+      if (c.collected()) ++collected;
     }
     EXPECT_EQ(collected, 9u);
   }

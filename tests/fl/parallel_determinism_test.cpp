@@ -4,6 +4,8 @@
 // batch-norm-carrying WRN) and the async engine.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -51,8 +53,8 @@ struct RoundRunOutput {
   nn::ModelState global;
   std::vector<double> arrivals;
   std::vector<double> losses;
-  std::vector<std::size_t> collected;        // collection order, per round
-  std::vector<double> collected_weights;
+  // Per client, round-major: outcome and the bits of collected_weight.
+  std::vector<std::pair<fl::ClientOutcome, std::uint64_t>> collected;
   double end_time = 0.0;
 };
 
@@ -72,12 +74,8 @@ RoundRunOutput run_rounds(nn::ModelKind model, std::uint64_t seed,
     for (const auto& c : record.clients) {
       out.arrivals.push_back(c.arrival_time);
       out.losses.push_back(c.mean_local_loss);
+      out.collected.emplace_back(c.outcome, std::bit_cast<std::uint64_t>(c.collected_weight));
     }
-    out.collected.insert(out.collected.end(), record.collected.begin(),
-                         record.collected.end());
-    out.collected_weights.insert(out.collected_weights.end(),
-                                 record.collected_weights.begin(),
-                                 record.collected_weights.end());
     out.end_time = record.end_time;
   }
   out.global = setup.engine->global_state();
@@ -96,11 +94,9 @@ TEST(ParallelDeterminism, RoundEngineCnnSweepOverSeeds) {
         ASSERT_EQ(base.arrivals[i], got.arrivals[i]) << "seed " << seed;
         ASSERT_EQ(base.losses[i], got.losses[i]) << "seed " << seed;
       }
-      // Collection ORDER (not just membership) must be schedule-independent:
-      // these vectors feed aggregation weights and the experiment summaries.
-      ASSERT_EQ(base.collected, got.collected) << "seed " << seed;
-      ASSERT_EQ(base.collected_weights, got.collected_weights)
-          << "seed " << seed;
+      // Every client's outcome and aggregation weight, bit for bit, must be
+      // schedule-independent: they feed the experiment result and the report.
+      ASSERT_TRUE(base.collected == got.collected) << "seed " << seed;
       ASSERT_EQ(base.end_time, got.end_time) << "seed " << seed;
     }
   }
@@ -129,38 +125,35 @@ TEST(ParallelDeterminism, SimdTierSweepMatchesScalarAcrossWorkerCounts) {
           << simd::tier_name(tier) << " x " << workers << " workers";
       ASSERT_EQ(base.losses, got.losses)
           << simd::tier_name(tier) << " x " << workers << " workers";
-      ASSERT_EQ(base.collected, got.collected) << simd::tier_name(tier);
+      ASSERT_TRUE(base.collected == got.collected) << simd::tier_name(tier);
       ASSERT_EQ(base.end_time, got.end_time) << simd::tier_name(tier);
     }
   }
   simd::reset_tier_from_env();
 }
 
-// Regression for the summarize() ordering fix (src/fl/experiment.cpp): the
-// per-client collected flags/weights in RoundSummary are built through an
-// ORDERED map keyed by client id, so the summary table is byte-identical
-// across worker counts. Before the fix the intermediate container was
-// unordered — lookup-only, but one refactor away from hash-order output
-// (exactly what the analyzer's unordered-iter rule now rejects).
+// The round records run_experiment keeps carry each client's outcome and
+// aggregation weight as the engine decided them; both must be bit-identical
+// across worker counts.
 TEST(ParallelDeterminism, ExperimentSummaryCollectionStableAcrossWorkers) {
   fl::ExperimentOptions options = parallel_base_options();
 
-  std::vector<std::pair<bool, double>> base_collected;
+  std::vector<std::pair<fl::ClientOutcome, std::uint64_t>> base_collected;
   for (const std::size_t workers : kWorkerCounts) {
     options.worker_threads = workers;
     fl::FedAvgScheme scheme;
     const fl::ExperimentResult result = fl::run_experiment(options, scheme);
-    std::vector<std::pair<bool, double>> collected;
-    for (const fl::RoundSummary& round : result.rounds) {
-      for (const fl::ClientRoundSummary& c : round.clients) {
-        collected.emplace_back(c.collected, c.collected_weight);
+    std::vector<std::pair<fl::ClientOutcome, std::uint64_t>> collected;
+    for (const fl::RoundRecord& round : result.rounds) {
+      for (const fl::ClientRoundResult& c : round.clients) {
+        collected.emplace_back(c.outcome, std::bit_cast<std::uint64_t>(c.collected_weight));
       }
     }
     if (workers == kWorkerCounts[0]) {
       base_collected = collected;
       ASSERT_FALSE(base_collected.empty());
     } else {
-      ASSERT_EQ(base_collected, collected) << "workers " << workers;
+      ASSERT_TRUE(base_collected == collected) << "workers " << workers;
     }
   }
 }

@@ -85,18 +85,18 @@ void expect_identical(const fl::ExperimentResult& a, const fl::ExperimentResult&
   EXPECT_TRUE(bits_equal(a.final_accuracy, b.final_accuracy));
   EXPECT_TRUE(bits_equal(a.total_time, b.total_time));
   for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    const fl::RoundSummary& ra = a.rounds[r];
-    const fl::RoundSummary& rb = b.rounds[r];
+    const fl::RoundRecord& ra = a.rounds[r];
+    const fl::RoundRecord& rb = b.rounds[r];
     EXPECT_TRUE(bits_equal(ra.start_time, rb.start_time));
     EXPECT_TRUE(bits_equal(ra.end_time, rb.end_time));
     ASSERT_EQ(ra.clients.size(), rb.clients.size());
     for (std::size_t i = 0; i < ra.clients.size(); ++i) {
-      const fl::ClientRoundSummary& ca = ra.clients[i];
-      const fl::ClientRoundSummary& cb = rb.clients[i];
+      const fl::ClientRoundResult& ca = ra.clients[i];
+      const fl::ClientRoundResult& cb = rb.clients[i];
       EXPECT_EQ(ca.client_id, cb.client_id);
       EXPECT_EQ(ca.iterations_run, cb.iterations_run);
       EXPECT_EQ(ca.failed, cb.failed);
-      EXPECT_EQ(ca.collected, cb.collected);
+      EXPECT_EQ(ca.outcome, cb.outcome);
       EXPECT_TRUE(bits_equal(ca.arrival_time, cb.arrival_time));
       EXPECT_TRUE(bits_equal(ca.collected_weight, cb.collected_weight));
     }
@@ -111,7 +111,7 @@ void expect_identical(const fl::ExperimentResult& a, const fl::ExperimentResult&
 // The invariants every chaos run must satisfy regardless of schedule.
 void expect_invariants(const fl::ExperimentResult& result) {
   double prev_end = 0.0;
-  for (const fl::RoundSummary& round : result.rounds) {
+  for (const fl::RoundRecord& round : result.rounds) {
     // Termination at finite, monotone virtual times.
     ASSERT_TRUE(std::isfinite(round.start_time));
     ASSERT_TRUE(std::isfinite(round.end_time));
@@ -121,8 +121,12 @@ void expect_invariants(const fl::ExperimentResult& result) {
 
     double weight_sum = 0.0;
     std::size_t collected = 0;
-    for (const fl::ClientRoundSummary& c : round.clients) {
-      if (c.collected) {
+    for (const fl::ClientRoundResult& c : round.clients) {
+      // Exactly the faulted clients carry a fault outcome.
+      EXPECT_EQ(c.failed, c.outcome == fl::ClientOutcome::kCrashed ||
+                              c.outcome == fl::ClientOutcome::kDropout ||
+                              c.outcome == fl::ClientOutcome::kLinkOutage);
+      if (c.collected()) {
         ++collected;
         weight_sum += c.collected_weight;
         EXPECT_FALSE(c.failed) << "failed client aggregated in round "
@@ -210,11 +214,11 @@ TEST_F(RobustnessTest, CrashingQuarterOfClientsCompletesWithCountersVisible) {
   // failure and next-round exclusion.
   EXPECT_EQ(counter_value("faults.crashes"), 2.0);
   // Crashed clients leave the population for later rounds.
-  const fl::RoundSummary& last = result.rounds.back();
+  const fl::RoundRecord& last = result.rounds.back();
   EXPECT_EQ(last.clients.size(), 6u);
   std::size_t failed_total = 0;
-  for (const fl::RoundSummary& round : result.rounds) {
-    for (const fl::ClientRoundSummary& c : round.clients) {
+  for (const fl::RoundRecord& round : result.rounds) {
+    for (const fl::ClientRoundResult& c : round.clients) {
       if (c.failed) ++failed_total;
     }
   }
@@ -232,9 +236,9 @@ TEST_F(RobustnessTest, AllClientsCrashingStillTerminates) {
   const fl::ExperimentResult result = fl::run_experiment(options, scheme);
   ASSERT_EQ(result.rounds.size(), options.max_rounds);
   expect_invariants(result);
-  for (const fl::RoundSummary& round : result.rounds) {
-    for (const fl::ClientRoundSummary& c : round.clients) {
-      EXPECT_FALSE(c.collected);
+  for (const fl::RoundRecord& round : result.rounds) {
+    for (const fl::ClientRoundResult& c : round.clients) {
+      EXPECT_FALSE(c.collected());
     }
   }
   // Once everyone is crashed the rounds are empty.
@@ -250,11 +254,11 @@ TEST_F(RobustnessTest, UploadTimeoutZeroYieldsEmptyRoundsAtRoundStart) {
   fl::FedAvgScheme scheme;
   const fl::ExperimentResult result = fl::run_experiment(options, scheme);
   ASSERT_EQ(result.rounds.size(), 2u);
-  for (const fl::RoundSummary& round : result.rounds) {
+  for (const fl::RoundRecord& round : result.rounds) {
     // The cut caps the round end at its start.
     EXPECT_TRUE(bits_equal(round.end_time, round.start_time));
-    for (const fl::ClientRoundSummary& c : round.clients) {
-      EXPECT_FALSE(c.collected);
+    for (const fl::ClientRoundResult& c : round.clients) {
+      EXPECT_EQ(c.outcome, fl::ClientOutcome::kTimedOut);
       EXPECT_FALSE(c.failed);  // timed out, not faulted
     }
   }
@@ -271,7 +275,7 @@ TEST_F(RobustnessTest, UploadTimeoutKeepsOnlySurvivorsAndRenormalizes) {
   fl::FedAvgScheme probe;
   const fl::ExperimentResult base = fl::run_experiment(options, probe);
   std::vector<double> arrivals;
-  for (const fl::ClientRoundSummary& c : base.rounds[0].clients) {
+  for (const fl::ClientRoundResult& c : base.rounds[0].clients) {
     arrivals.push_back(c.arrival_time - base.rounds[0].start_time);
   }
   std::sort(arrivals.begin(), arrivals.end());
@@ -282,8 +286,8 @@ TEST_F(RobustnessTest, UploadTimeoutKeepsOnlySurvivorsAndRenormalizes) {
   const fl::ExperimentResult result = fl::run_experiment(options, scheme);
   double weight_sum = 0.0;
   std::size_t collected = 0;
-  for (const fl::ClientRoundSummary& c : result.rounds[0].clients) {
-    if (c.collected) {
+  for (const fl::ClientRoundResult& c : result.rounds[0].clients) {
+    if (c.collected()) {
       ++collected;
       weight_sum += c.collected_weight;
       EXPECT_LE(c.arrival_time - result.rounds[0].start_time,
@@ -323,8 +327,8 @@ TEST_F(RobustnessTest, LostEagerTransmissionsAreAlwaysRetransmitted) {
   EagerProbeScheme scheme;
   const fl::ExperimentResult result = fl::run_experiment(options, scheme);
   std::size_t eager_total = 0;
-  for (const fl::RoundSummary& round : result.rounds) {
-    for (const fl::ClientRoundSummary& c : round.clients) {
+  for (const fl::RoundRecord& round : result.rounds) {
+    for (const fl::ClientRoundResult& c : round.clients) {
       for (const auto& e : c.eager) {
         ++eager_total;
         EXPECT_TRUE(e.retransmitted)

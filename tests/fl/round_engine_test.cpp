@@ -51,9 +51,8 @@ TEST(RoundEngine, TimingInvariants) {
     EXPECT_FALSE(c.early_stopped);
     EXPECT_GT(c.bytes_sent, 0.0);
   }
-  for (const std::size_t idx : record.collected) {
-    max_collected_arrival = std::max(max_collected_arrival,
-                                     record.clients[idx].arrival_time);
+  for (const auto& c : record.clients) {
+    if (c.collected()) max_collected_arrival = std::max(max_collected_arrival, c.arrival_time);
   }
   EXPECT_DOUBLE_EQ(record.end_time, max_collected_arrival);
   // Next round starts where this one ended.
@@ -70,16 +69,22 @@ TEST(RoundEngine, PartialCollectionQuota) {
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
   const fl::RoundRecord record = setup.engine->run_round();
   EXPECT_EQ(record.clients.size(), 10u);
-  EXPECT_EQ(record.collected.size(), 9u);
-  // The dropped client is the latest arrival.
+  std::size_t collected = 0;
   double dropped_arrival = 0.0;
-  std::vector<bool> collected(10, false);
-  for (const std::size_t idx : record.collected) collected[idx] = true;
-  for (std::size_t i = 0; i < 10; ++i) {
-    if (!collected[i]) dropped_arrival = record.clients[i].arrival_time;
+  for (const auto& c : record.clients) {
+    if (c.collected()) {
+      ++collected;
+    } else {
+      EXPECT_EQ(c.outcome, fl::ClientOutcome::kShed);
+      dropped_arrival = c.arrival_time;
+    }
   }
-  for (const std::size_t idx : record.collected) {
-    EXPECT_LE(record.clients[idx].arrival_time, dropped_arrival);
+  EXPECT_EQ(collected, 9u);
+  // The dropped client is the latest arrival.
+  for (const auto& c : record.clients) {
+    if (c.collected()) {
+      EXPECT_LE(c.arrival_time, dropped_arrival);
+    }
   }
 }
 

@@ -113,13 +113,6 @@ TEST(ModelState, Arithmetic) {
   nn::state_add_scaled(a, 0.1f, b);
   EXPECT_FLOAT_EQ(a.tensors[0][0], 2.0f);
 
-  nn::ModelState z = nn::state_zeros_like(a);
-  EXPECT_EQ(z.tensors[0][1], 0.0f);
-  EXPECT_EQ(z.names[0], "x");
-
-  nn::state_scale(b, 0.5f);
-  EXPECT_FLOAT_EQ(b.tensors[0][0], 5.0f);
-
   nn::ModelState n;
   n.names = {"x"};
   n.tensors = {nn::Tensor({2}, std::vector<float>{3, 4})};

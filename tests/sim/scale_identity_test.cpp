@@ -46,8 +46,8 @@ struct RunFingerprint {
   std::vector<float> state;
   std::vector<std::size_t> roster;          // (round-major) participant ids
   std::vector<double> arrivals;             // parallel to roster
-  std::vector<std::size_t> collected;       // per-round collected indices
-  std::vector<double> collected_weights;    // parallel to collected
+  std::vector<fl::ClientOutcome> outcomes;  // parallel to roster
+  std::vector<double> weights;              // parallel to roster
   std::vector<std::size_t> population;      // per round
   std::vector<std::size_t> offline;         // per round
   double end_time = 0.0;
@@ -62,12 +62,9 @@ RunFingerprint run_once(const fl::ExperimentOptions& options) {
     for (const auto& client : record.clients) {
       fp.roster.push_back(client.client_id);
       fp.arrivals.push_back(client.arrival_time);
+      fp.outcomes.push_back(client.outcome);
+      fp.weights.push_back(client.collected_weight);
     }
-    fp.collected.insert(fp.collected.end(), record.collected.begin(),
-                        record.collected.end());
-    fp.collected_weights.insert(fp.collected_weights.end(),
-                                record.collected_weights.begin(),
-                                record.collected_weights.end());
     fp.population.push_back(record.population);
     fp.offline.push_back(record.offline);
   }
@@ -89,10 +86,10 @@ void expect_identical(const RunFingerprint& a, const RunFingerprint& b,
                         a.arrivals.size() * sizeof(double)),
             0)
       << what << ": arrival times differ";
-  EXPECT_EQ(a.collected, b.collected) << what;
-  ASSERT_EQ(a.collected_weights.size(), b.collected_weights.size()) << what;
-  EXPECT_EQ(std::memcmp(a.collected_weights.data(), b.collected_weights.data(),
-                        a.collected_weights.size() * sizeof(double)),
+  EXPECT_TRUE(a.outcomes == b.outcomes) << what << ": client outcomes differ";
+  ASSERT_EQ(a.weights.size(), b.weights.size()) << what;
+  EXPECT_EQ(std::memcmp(a.weights.data(), b.weights.data(),
+                        a.weights.size() * sizeof(double)),
             0)
       << what << ": aggregation weights differ";
   EXPECT_EQ(a.population, b.population) << what;

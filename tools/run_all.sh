@@ -62,6 +62,18 @@ if [ "${FEDCA_SCENARIOS:-1}" != "0" ]; then
     2>&1 | tee /root/repo/scenario_output.txt || exit 1
 fi
 
+# The benchmark's own checks, exactly as its suite runs them: metric names
+# agree with BENCHMARK.json, the fold attributes traces correctly, and every
+# workload prints every metric with `correct: true` in both modes (finite
+# model, accuracy floor, trajectories reaching the target, traced and
+# untraced fingerprints equal, per-layer sum within +/-0.10 of
+# compute_gradients). About two minutes on 4 cores.
+echo "===== perfbench self-test ====="
+python3 perfbench/test_perfbench.py >perfbench_output.txt 2>&1
+perfbench_status=$?
+cat perfbench_output.txt
+[ "$perfbench_status" -eq 0 ] || exit "$perfbench_status"
+
 # Kernel bench smoke: refresh BENCH_kernels.json (before/after numbers for
 # the blocked GEMM + parallel engine work). The kernel sources are compiled
 # -O3 regardless of the top-level build type; FEDCA_BENCH_KERNELS=0 skips.
