@@ -124,8 +124,10 @@ void fake_quantize_int8(std::span<float> x, const QuantParams& p);
 //
 // Cache-blocked (Mc/Kc/Nc), panel-packed, register-tiled kernels with the
 // fixed association order described at the top of this header. All three
-// variants share one packed microkernel (transposition is absorbed during
-// packing), dispatched per call to the portable or AVX2 tier. Raw-pointer
+// variants, at every size, take one route: the packed microkernel
+// (transposition is absorbed during packing), dispatched per call to the
+// portable, AVX2 or AVX-512 tier. There is no separate small-problem
+// path, so the vector tiers run every shape the models use. Raw-pointer
 // variants are exposed so layers that already know their geometry (conv
 // im2col panels, per-sample slices) can avoid staging copies; the Tensor
 // overloads validate shapes and forward to them.

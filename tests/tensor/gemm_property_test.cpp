@@ -1,8 +1,10 @@
 // Property tests for the blocked GEMM kernels against the retained naive
-// references (tensor::ref), plus the fused dense-layer helpers and the
-// opt-in pool-parallel GEMM path.
+// references (tensor::ref) and, bit for bit, against the fma-chain
+// accumulation contract; plus the fused dense-layer helpers and the opt-in
+// pool-parallel GEMM path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -36,8 +38,76 @@ void expect_close(const Tensor& got, const Tensor& want, std::size_t k) {
 }
 
 // Shape grid: every combination of tiny edge sizes and sizes straddling the
-// register-tile widths (kMr = 4 rows, 16-float dot lanes, 4-wide j-tiles).
+// 6 x 16 register tile (simd::kMr rows by simd::kNr columns) and its
+// multiples.
 const std::size_t kSizes[] = {1, 2, 3, 5, 8, 17, 33, 64};
+
+// The models' own products as (m, k, n) in each variant's raw-pointer
+// signature: conv1's forward, weight and input gradients (6 x 75 x 256
+// family), conv2's (16 x 150 x 64 family), the LSTM's input projection,
+// input gradient and weight gradient (16 x 8 x 384 family), and fc3.
+struct Shape3 {
+  std::size_t m, k, n;
+};
+const Shape3 kModelShapes[] = {
+    {6, 75, 256},  {6, 256, 75},  {16, 150, 64}, {16, 64, 150},
+    {16, 384, 8},  {16, 8, 384},  {16, 84, 10},
+};
+
+// Stored operands for one (m, k, n): A is m x k; B is k x n for gemm,
+// n x k for gemm_nt and m x n for gemm_tn.
+struct Operands {
+  std::vector<float> a, b, b_nt, b_tn;
+};
+
+Operands random_operands(const Shape3& s, util::Rng& rng) {
+  const auto fill = [&rng](std::size_t count) {
+    std::vector<float> v(count);
+    for (float& x : v) x = static_cast<float>(rng.normal(0.0, 1.0));
+    return v;
+  };
+  return {fill(s.m * s.k), fill(s.k * s.n), fill(s.n * s.k), fill(s.m * s.n)};
+}
+
+// The accumulation contract written out as plain loops: every output
+// element is acc = fma(a, b, acc) over the reduction index ascending,
+// seeded at 0. op_a(i, r) and op_b(r, j) read the stored operands.
+template <typename OpA, typename OpB>
+std::vector<float> chain(std::size_t rows, std::size_t red, std::size_t cols,
+                         OpA op_a, OpB op_b) {
+  std::vector<float> c(rows * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      float acc = 0.0f;
+      for (std::size_t r = 0; r < red; ++r) acc = std::fma(op_a(i, r), op_b(r, j), acc);
+      c[i * cols + j] = acc;
+    }
+  }
+  return c;
+}
+
+// Compares all three variants at (m, k, n) byte for byte against the
+// explicit chains, under whatever tier is active.
+void expect_chain_bits(const Shape3& s, const Operands& op, const char* tier) {
+  const std::size_t m = s.m, k = s.k, n = s.n;
+  std::vector<float> c(std::max(m, k) * n);
+  const auto check = [&](const char* variant, const std::vector<float>& want) {
+    ASSERT_EQ(std::memcmp(c.data(), want.data(), want.size() * sizeof(float)), 0)
+        << variant << " " << tier << " " << m << "x" << k << "x" << n;
+  };
+  gemm(m, k, n, op.a.data(), op.b.data(), c.data());
+  check("gemm", chain(m, k, n, [&](std::size_t i, std::size_t r) { return op.a[i * k + r]; },
+                      [&](std::size_t r, std::size_t j) { return op.b[r * n + j]; }));
+  gemm_nt(m, k, n, op.a.data(), op.b_nt.data(), c.data());
+  check("gemm_nt",
+        chain(m, k, n, [&](std::size_t i, std::size_t r) { return op.a[i * k + r]; },
+              [&](std::size_t r, std::size_t j) { return op.b_nt[j * k + r]; }));
+  // C is k x n and the chain runs over the m rows of A and B.
+  gemm_tn(m, k, n, op.a.data(), op.b_tn.data(), c.data());
+  check("gemm_tn",
+        chain(k, m, n, [&](std::size_t i, std::size_t r) { return op.a[r * k + i]; },
+              [&](std::size_t r, std::size_t j) { return op.b_tn[r * n + j]; }));
+}
 
 TEST(GemmProperty, MatchesNaiveReference) {
   util::Rng rng(0xC0FFEE);
@@ -140,7 +210,9 @@ TEST(GemmProperty, ThreadedGemmIsBitIdenticalToSerial) {
 // Dispatch-tier identity: the scalar kernels and every vector tier this
 // host supports must produce the SAME BYTES for all three GEMM variants
 // across the full edge-size grid — the association-order contract that
-// makes FEDCA_SIMD a pure performance knob.
+// makes FEDCA_SIMD a pure performance knob. Every grid shape runs the
+// packed microkernel of the tier under test (there is no tier-independent
+// small-problem route).
 TEST(GemmProperty, TiersAreBitIdentical) {
   std::vector<simd::Tier> tiers;
   if (simd::avx2_supported()) tiers.push_back(simd::Tier::kAvx2);
@@ -178,6 +250,33 @@ TEST(GemmProperty, TiersAreBitIdentical) {
         }
       }
     }
+  }
+  simd::reset_tier_from_env();
+}
+
+// The contract the single packed route relies on, bit for bit: every
+// element of every variant equals the scalar fma chain, on the whole edge
+// grid and at the models' shapes, under the scalar tier and every vector
+// tier this host supports.
+TEST(GemmProperty, EveryElementIsOneFmaChain) {
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::avx2_supported()) tiers.push_back(simd::Tier::kAvx2);
+  if (simd::avx512_supported()) tiers.push_back(simd::Tier::kAvx512);
+  std::vector<Shape3> shapes(std::begin(kModelShapes), std::end(kModelShapes));
+  for (const std::size_t m : kSizes) {
+    for (const std::size_t k : kSizes) {
+      for (const std::size_t n : kSizes) shapes.push_back({m, k, n});
+    }
+  }
+  util::Rng rng(0xC4A1);
+  for (const Shape3& s : shapes) {
+    const Operands op = random_operands(s, rng);
+    for (const simd::Tier tier : tiers) {
+      simd::set_tier_for_testing(tier);
+      expect_chain_bits(s, op, simd::tier_name(tier));
+      if (HasFatalFailure()) break;
+    }
+    if (HasFatalFailure()) break;
   }
   simd::reset_tier_from_env();
 }
