@@ -80,12 +80,15 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t col_rows = geo_.in_channels * geo_.kernel_h * geo_.kernel_w;
   const std::size_t image_size = geo_.in_channels * geo_.in_h * geo_.in_w;
 
-  Tensor grad_input({n, geo_.in_channels, geo_.in_h, geo_.in_w});
+  Tensor grad_input;
+  if (input_grad_needed_) {
+    grad_input = Tensor({n, geo_.in_channels, geo_.in_h, geo_.in_w});
+    if (scratch_dcols_.numel() != col_rows * oh * ow) {
+      scratch_dcols_ = Tensor({col_rows, oh * ow});
+    }
+  }
   if (scratch_dw_.numel() != out_channels_ * col_rows) {
     scratch_dw_ = Tensor({out_channels_, col_rows});
-  }
-  if (scratch_dcols_.numel() != col_rows * oh * ow) {
-    scratch_dcols_ = Tensor({col_rows, oh * ow});
   }
   for (std::size_t s = 0; s < n; ++s) {
     // Recompute this sample's im2col panel from the cached input — a pure
@@ -106,6 +109,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         bias_.grad[c] += static_cast<float>(acc);
       }
     }
+    if (!input_grad_needed_) continue;
     // dcols = W^T * dY, then scatter back to image layout.
     tensor::gemm_tn(out_channels_, col_rows, oh * ow, weight_.value.raw(), dy,
                     scratch_dcols_.raw());

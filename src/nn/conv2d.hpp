@@ -20,6 +20,8 @@ class Conv2d : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Conv2d"; }
+  // When not needed, backward() skips the W^T * dY product and col2im.
+  void set_input_grad_needed(bool needed) override { input_grad_needed_ = needed; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<Conv2d>(*this); }
 
   std::size_t out_channels() const { return out_channels_; }
@@ -32,6 +34,7 @@ class Conv2d : public Module {
   Parameter weight_;  // [out_c, in_c*kh*kw]
   Parameter bias_;    // [out_c]
   bool has_bias_;
+  bool input_grad_needed_ = true;
   // Forward caches the raw input (one image per sample) and recomputes
   // im2col in backward into the single reused scratch panel below —
   // activation memory is ~kernel_area x batch smaller than keeping one

@@ -103,13 +103,15 @@ Tensor LSTM::backward(const Tensor& grad_output) {
     throw std::invalid_argument("LSTM::backward expects [N, H] gradient, got " +
                                 tensor::shape_to_string(grad_output.shape()));
   }
-  Tensor grad_input({n, seq_len_, input_size_});
+  Tensor grad_input;
+  if (input_grad_needed_) grad_input = Tensor({n, seq_len_, input_size_});
   Tensor dh = grad_output;  // gradient flowing into h_t
   Tensor dc({n, H});        // gradient flowing into c_t (zero at t = T)
   Tensor dpre({n, 4 * H});
   Tensor dparam({4 * H, input_size_});
   Tensor dparam_h({4 * H, hidden_size_});
-  Tensor dx({n, input_size_});
+  Tensor dx;
+  if (input_grad_needed_) dx = Tensor({n, input_size_});
   Tensor dh_rec({n, H});
 
   for (std::size_t t = seq_len_; t-- > 0;) {
@@ -145,11 +147,13 @@ Tensor LSTM::backward(const Tensor& grad_output) {
       }
     }
     // Input gradient for this timestep.
-    tensor::gemm(dpre, weight_ih_.value, dx);
-    for (std::size_t s = 0; s < n; ++s) {
-      float* dst = grad_input.raw() + (s * seq_len_ + t) * input_size_;
-      const float* src = dx.raw() + s * input_size_;
-      for (std::size_t j = 0; j < input_size_; ++j) dst[j] = src[j];
+    if (input_grad_needed_) {
+      tensor::gemm(dpre, weight_ih_.value, dx);
+      for (std::size_t s = 0; s < n; ++s) {
+        float* dst = grad_input.raw() + (s * seq_len_ + t) * input_size_;
+        const float* src = dx.raw() + s * input_size_;
+        for (std::size_t j = 0; j < input_size_; ++j) dst[j] = src[j];
+      }
     }
     // Recurrent gradient to h_{t-1}.
     tensor::gemm(dpre, weight_hh_.value, dh_rec);

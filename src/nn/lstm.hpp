@@ -23,6 +23,8 @@ class LSTM : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "LSTM"; }
+  // When not needed, backward() skips the per-timestep input gradient.
+  void set_input_grad_needed(bool needed) override { input_grad_needed_ = needed; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<LSTM>(*this); }
 
   std::size_t hidden_size() const { return hidden_size_; }
@@ -33,6 +35,7 @@ class LSTM : public Module {
   Parameter weight_hh_;  // [4H, H]
   Parameter bias_ih_;    // [4H]
   Parameter bias_hh_;    // [4H]
+  bool input_grad_needed_ = true;
 
   // Per-timestep forward caches (index t in [0, T)).
   struct StepCache {

@@ -35,6 +35,9 @@ std::string model_kind_name(ModelKind kind) {
 Classifier::Classifier(std::unique_ptr<Module> backbone, ModelInfo info)
     : backbone_(std::move(backbone)), info_(std::move(info)) {
   if (!backbone_) throw std::invalid_argument("Classifier: null backbone");
+  // The backbone's input is data: compute_gradients never reads its
+  // gradient, so the first layer skips computing it.
+  backbone_->set_input_grad_needed(false);
   info_.actual_params = parameter_count(*backbone_);
   params_ = backbone_->parameters();
 }

@@ -52,7 +52,8 @@ class Module {
 
   // Propagates the loss gradient. Must be called after forward() with a
   // gradient matching forward's output shape. Accumulates parameter
-  // gradients and returns d(loss)/d(input).
+  // gradients and returns d(loss)/d(input) (empty when the module was told
+  // the input gradient is not needed; see set_input_grad_needed).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   // Trainable parameters in a stable order (pointers remain valid for the
@@ -72,6 +73,15 @@ class Module {
   // next forward() overwrites them). The engines train every client on a
   // clone, so every module must implement it.
   virtual std::unique_ptr<Module> clone() const = 0;
+
+  // Declares whether the caller reads the input gradient backward()
+  // returns. A model's first layer sees data, whose gradient nobody reads:
+  // layers that can save work there (Conv2d, LSTM) then skip their input
+  // gradient product and return an empty tensor, with parameter gradients
+  // unchanged bit for bit. Sequential passes the flag to its first child;
+  // other modules ignore it. A freshly built module returns its input
+  // gradient.
+  virtual void set_input_grad_needed(bool /*needed*/) {}
 
   // Visits every non-parameter state buffer (batch-norm running
   // statistics) in a stable order; containers forward to children.

@@ -38,6 +38,10 @@ void Sequential::set_training(bool training) {
   for (auto& child : children_) child->set_training(training);
 }
 
+void Sequential::set_input_grad_needed(bool needed) {
+  if (!children_.empty()) children_.front()->set_input_grad_needed(needed);
+}
+
 std::unique_ptr<Module> Sequential::clone() const {
   auto out = std::make_unique<Sequential>();
   for (const auto& child : children_) {

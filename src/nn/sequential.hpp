@@ -22,6 +22,8 @@ class Sequential : public Module {
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Sequential"; }
   void set_training(bool training) override;
+  // Forwarded to the first child: only its input is the container's input.
+  void set_input_grad_needed(bool needed) override;
   // Deep clone of every child.
   std::unique_ptr<Module> clone() const override;
   void visit_buffers(const std::function<void(std::span<double>)>& fn) override;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
@@ -75,6 +77,45 @@ TEST_P(ModelZooTest, GradientsFlowToEveryParameter) {
     }
     EXPECT_GT(norm, 0.0) << "no gradient reached " << p->name;
   }
+}
+
+// A Classifier's first layer skips its input gradient (the gradient of
+// data, which nobody reads). The parameter gradients must be bit-identical
+// to a pass that computes it, and only the skipping backbone may return an
+// empty input gradient.
+TEST_P(ModelZooTest, SkippedInputGradientKeepsParameterGradientsBitIdentical) {
+  util::Rng rng(9);
+  nn::Classifier skipping = nn::build_model(GetParam(), rng);
+  std::unique_ptr<nn::Classifier> full = skipping.clone();
+  full->backbone().set_input_grad_needed(true);
+  const nn::InputGeometry geo = nn::default_geometry(GetParam());
+  util::Rng data_rng(23);
+  nn::Tensor input = (GetParam() == nn::ModelKind::kLstm)
+                         ? nn::Tensor({5, geo.seq_len, geo.features})
+                         : nn::Tensor({5, geo.channels, geo.height, geo.width});
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(data_rng.normal(0.0, 1.0));
+  }
+  const std::vector<int> labels{0, 1, 2, 3, 4};
+  const double loss_skipping = skipping.compute_gradients(input, labels);
+  const double loss_full = full->compute_gradients(input, labels);
+  EXPECT_EQ(loss_skipping, loss_full);
+  const std::vector<nn::Parameter*>& a = skipping.parameters();
+  const std::vector<nn::Parameter*>& b = full->parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t l = 0; l < a.size(); ++l) {
+    ASSERT_EQ(a[l]->grad.numel(), b[l]->grad.numel());
+    EXPECT_EQ(std::memcmp(a[l]->grad.raw(), b[l]->grad.raw(),
+                          a[l]->grad.numel() * sizeof(float)),
+              0)
+        << a[l]->name;
+  }
+
+  const nn::Tensor grad_logits({5, skipping.info().num_classes}, 1.0f);
+  skipping.backbone().forward(input);
+  EXPECT_EQ(skipping.backbone().backward(grad_logits).numel(), 0u);
+  full->backbone().forward(input);
+  EXPECT_TRUE(full->backbone().backward(grad_logits).same_shape(input));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelZooTest,
