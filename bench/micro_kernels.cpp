@@ -1,10 +1,13 @@
 // Google-benchmark microbenches of the kernels on FedCA's hot paths:
-// GEMM in all three transpose variants (local SGD), the retained naive
-// references (before/after comparison), the pool-parallel GEMM path, span
-// kernels, the fused dense-layer helpers, conv2d forward/backward,
-// statistical progress (Eq. 1), profiler recording, link throughput,
-// speed-timeline integration, and end-to-end round throughput.
+// GEMM in all three transpose variants (square sizes and the models' own
+// shapes), the retained naive references (before/after comparison), the
+// pool-parallel GEMM path, span kernels, the fused dense-layer helpers,
+// conv2d forward/backward, statistical progress (Eq. 1), profiler
+// recording, link throughput, speed-timeline integration, and end-to-end
+// round throughput.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "core/progress.hpp"
 #include "core/sampling_profiler.hpp"
@@ -77,6 +80,32 @@ void BM_GemmTN(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_GemmTN)->Arg(32)->Arg(64)->Arg(128);
+
+// GEMMs at the models' own shapes, (m, k, n) as in each variant's
+// raw-pointer signature (tensor/ops.hpp): conv1's forward and weight
+// gradient per sample, the LSTM's per-timestep input projection, input
+// gradient and weight gradient, and fc3's forward.
+using GemmFn = void (*)(std::size_t, std::size_t, std::size_t, const float*,
+                        const float*, float*);
+void BM_GemmShape(benchmark::State& state, GemmFn fn, std::size_t m,
+                  std::size_t k, std::size_t n) {
+  // Sized for every variant: B is k x n, n x k or m x n; C is m x n or k x n.
+  const tensor::Tensor a = randn({m * k}, 1);
+  const tensor::Tensor b = randn({std::max(k, m) * n}, 2);
+  tensor::Tensor c({std::max(m, k) * n});
+  for (auto _ : state) {
+    fn(m, k, n, a.raw(), b.raw(), c.raw());
+    benchmark::DoNotOptimize(c.raw());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * k * n));
+}
+BENCHMARK_CAPTURE(BM_GemmShape, conv1_fwd_gemm_6x75x256, &tensor::gemm, 6, 75, 256);
+BENCHMARK_CAPTURE(BM_GemmShape, conv1_dw_gemm_nt_6x256x75, &tensor::gemm_nt, 6, 256, 75);
+BENCHMARK_CAPTURE(BM_GemmShape, lstm_in_gemm_nt_16x8x384, &tensor::gemm_nt, 16, 8, 384);
+BENCHMARK_CAPTURE(BM_GemmShape, lstm_dx_gemm_16x384x8, &tensor::gemm, 16, 384, 8);
+BENCHMARK_CAPTURE(BM_GemmShape, lstm_dw_gemm_tn_16x384x8, &tensor::gemm_tn, 16, 384, 8);
+BENCHMARK_CAPTURE(BM_GemmShape, fc3_gemm_nt_16x84x10, &tensor::gemm_nt, 16, 84, 10);
 
 // The naive pre-optimization kernel, kept for honest before/after numbers.
 void BM_GemmRef(benchmark::State& state) {

@@ -39,9 +39,9 @@ BASELINE_NS = {
 # google-benchmark reports real_time in each row's own time_unit.
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|GemmParallel|Axpy|Dot|L2Norm|Scale|"
-          "BiasAdd|RowSum|ConvForward|ConvBackward|StatisticalProgress|"
-          "CnnTrainingIteration|RoundThroughput)")
+FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmShape|GemmRef|GemmParallel|Axpy|Dot|"
+          "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
+          "StatisticalProgress|CnnTrainingIteration|RoundThroughput)")
 
 
 def real_time_ns(bench: dict) -> float:
