@@ -19,8 +19,14 @@ Tensor ReLU::backward(const Tensor& grad_output) {
     throw std::invalid_argument("ReLU::backward shape mismatch");
   }
   Tensor dx(grad_output.shape());
+  const float* x = cached_input_.raw();
+  const float* g = grad_output.raw();
+  float* out = dx.raw();
+  // Both operands are loaded unconditionally, so the select compiles to a
+  // blend instead of a branch on the (unpredictable) activation sign.
   for (std::size_t i = 0; i < grad_output.numel(); ++i) {
-    dx[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
+    const float gi = g[i];
+    out[i] = x[i] > 0.0f ? gi : 0.0f;
   }
   return dx;
 }

@@ -61,9 +61,13 @@ Tensor LSTM::forward(const Tensor& input) {
 
     tensor::gemm_nt(sc.x, weight_ih_.value, pre_x);
     tensor::gemm_nt(h, weight_hh_.value, pre_h);
-    for (std::size_t idx = 0; idx < n * 4 * H; ++idx) {
-      pre[idx] = pre_x[idx] + pre_h[idx] + bias_ih_.value[idx % (4 * H)] +
-                 bias_hh_.value[idx % (4 * H)];
+    const float* b_ih = bias_ih_.value.raw();
+    const float* b_hh = bias_hh_.value.raw();
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::size_t row = s * 4 * H;
+      for (std::size_t j = 0; j < 4 * H; ++j) {
+        pre[row + j] = pre_x[row + j] + pre_h[row + j] + b_ih[j] + b_hh[j];
+      }
     }
 
     sc.i = Tensor({n, H});

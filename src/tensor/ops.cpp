@@ -334,14 +334,20 @@ void pack_b(const float* b, std::size_t bs, bool b_trans, std::size_t k0,
   }
 }
 
-// Per-thread packing scratch, allocated once per thread and held for its
-// lifetime: a per-call buffer would be a fresh zero-initializing
-// allocation, which costs more than the microkernel work at hot sizes. The
-// one-time allocation keeps GEMM free of steady-state heap traffic.
+// Per-thread packing scratch, held for the thread's lifetime: a per-call
+// buffer would be a fresh zero-initializing allocation, which costs more
+// than the microkernel work at hot sizes. Each buffer grows to the largest
+// panels a call on this thread has needed (at most one full block) and
+// never shrinks, so GEMM has no steady-state heap traffic and a thread that
+// only runs small products holds only small panels.
 struct GemmScratch {
-  std::vector<float> ap = std::vector<float>(kMc * kKc);
-  std::vector<float> bp = std::vector<float>(kKc * kNc);
+  std::vector<float> ap;
+  std::vector<float> bp;
 };
+
+std::size_t round_up(std::size_t n, std::size_t multiple) {
+  return (n + multiple - 1) / multiple * multiple;
+}
 
 // C rows [i0, i1) of C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed
 // blocking. Each row's chains are computed entirely by the calling thread,
@@ -362,6 +368,11 @@ void gemm_packed(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
   thread_local GemmScratch scratch;
   std::vector<float>& ap = scratch.ap;
   std::vector<float>& bp = scratch.bp;
+  const std::size_t kb_max = std::min(kKc, K);
+  const std::size_t ap_need = round_up(std::min(kMc, i1 - i0), simd::kMr) * kb_max;
+  const std::size_t bp_need = round_up(std::min(kNc, N), simd::kNr) * kb_max;
+  if (ap.size() < ap_need) ap.resize(ap_need);
+  if (bp.size() < bp_need) bp.resize(bp_need);
   for (std::size_t jc = 0; jc < N; jc += kNc) {
     const std::size_t nb = std::min(kNc, N - jc);
     for (std::size_t kc = 0; kc < K; kc += kKc) {
@@ -656,46 +667,81 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
 
 }  // namespace ref
 
+namespace {
+
+// Both layout kernels work on the image with its zero padding made explicit:
+// C x (H + 2*pad) x (W + 2*pad). Every kernel-window read or write then lands
+// inside the buffer, so the copy loops carry no bounds tests.
+std::size_t bordered_h(const Conv2dGeometry& geo) { return geo.in_h + 2 * geo.pad; }
+std::size_t bordered_w(const Conv2dGeometry& geo) { return geo.in_w + 2 * geo.pad; }
+
+// Per-thread bordered image, grown on demand and never shrunk, so the conv
+// hot loop does no steady-state allocation (as GemmScratch).
+float* bordered_scratch(const Conv2dGeometry& geo) {
+  thread_local std::vector<float> buf;
+  const std::size_t need = geo.in_channels * bordered_h(geo) * bordered_w(geo);
+  if (buf.size() < need) buf.resize(need);
+  return buf.data();
+}
+
+// Calls fn(image_offset, bordered_offset) for the start of each of the
+// C x H image rows and of the same row inside the bordered image.
+template <typename RowFn>
+void for_each_interior_row(const Conv2dGeometry& geo, RowFn fn) {
+  const std::size_t bh = bordered_h(geo), bw = bordered_w(geo);
+  for (std::size_t c = 0; c < geo.in_channels; ++c) {
+    for (std::size_t y = 0; y < geo.in_h; ++y) {
+      fn((c * geo.in_h + y) * geo.in_w, (c * bh + y + geo.pad) * bw + geo.pad);
+    }
+  }
+}
+
+void check_conv_sizes(std::size_t image_size, std::size_t columns_size,
+                      const Conv2dGeometry& geo, const char* who) {
+  const std::size_t expected_image = geo.in_channels * geo.in_h * geo.in_w;
+  const std::size_t expected_cols =
+      geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w();
+  if (image_size != expected_image) {
+    throw std::invalid_argument(std::string(who) + ": image size " +
+                                std::to_string(image_size) + " != expected " +
+                                std::to_string(expected_image));
+  }
+  if (columns_size != expected_cols) {
+    throw std::invalid_argument(std::string(who) + ": columns size " +
+                                std::to_string(columns_size) + " != expected " +
+                                std::to_string(expected_cols));
+  }
+}
+
+}  // namespace
+
 void im2col(std::span<const float> image, const Conv2dGeometry& geo,
             std::span<float> columns) {
-  const std::size_t oh = geo.out_h();
-  const std::size_t ow = geo.out_w();
-  const std::size_t expected_image = geo.in_channels * geo.in_h * geo.in_w;
-  const std::size_t expected_cols = geo.in_channels * geo.kernel_h * geo.kernel_w * oh * ow;
-  if (image.size() != expected_image) {
-    throw std::invalid_argument("im2col: image size " + std::to_string(image.size()) +
-                                " != expected " + std::to_string(expected_image));
+  check_conv_sizes(image.size(), columns.size(), geo, "im2col");
+  const std::size_t oh = geo.out_h(), ow = geo.out_w();
+  const std::size_t bh = bordered_h(geo), bw = bordered_w(geo);
+  const float* src = image.data();
+  if (geo.pad > 0) {
+    float* padded = bordered_scratch(geo);
+    std::fill(padded, padded + geo.in_channels * bh * bw, 0.0f);
+    for_each_interior_row(geo, [&](std::size_t at, std::size_t bat) {
+      std::copy(src + at, src + at + geo.in_w, padded + bat);
+    });
+    src = padded;
   }
-  if (columns.size() != expected_cols) {
-    throw std::invalid_argument("im2col: columns size " + std::to_string(columns.size()) +
-                                " != expected " + std::to_string(expected_cols));
-  }
-  std::size_t row = 0;
+  float* out = columns.data();
   for (std::size_t c = 0; c < geo.in_channels; ++c) {
     for (std::size_t kh = 0; kh < geo.kernel_h; ++kh) {
-      for (std::size_t kw = 0; kw < geo.kernel_w; ++kw, ++row) {
-        float* out_row = columns.data() + row * oh * ow;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const long in_y = static_cast<long>(y * geo.stride + kh) - static_cast<long>(geo.pad);
-          if (in_y < 0 || in_y >= static_cast<long>(geo.in_h)) {
-            std::fill(out_row + y * ow, out_row + (y + 1) * ow, 0.0f);
-            continue;
-          }
-          const float* img_row =
-              image.data() + (c * geo.in_h + static_cast<std::size_t>(in_y)) * geo.in_w;
-          float* dst = out_row + y * ow;
-          if (geo.pad == 0 && geo.stride == 1) {
-            // Fast path: the kernel-window row is a contiguous slice.
-            std::copy(img_row + kw, img_row + kw + ow, dst);
-            continue;
-          }
-          for (std::size_t x = 0; x < ow; ++x) {
-            const long in_x = static_cast<long>(x * geo.stride + kw) - static_cast<long>(geo.pad);
-            float v = 0.0f;
-            if (in_x >= 0 && in_x < static_cast<long>(geo.in_w)) {
-              v = img_row[static_cast<std::size_t>(in_x)];
-            }
-            dst[x] = v;
+      for (std::size_t kw = 0; kw < geo.kernel_w; ++kw) {
+        const float* window = src + (c * bh + kh) * bw + kw;
+        for (std::size_t y = 0; y < oh; ++y, out += ow) {
+          const float* in_row = window + y * geo.stride * bw;
+          // Rows are short (ow = 16 or 8 in LeNet): a plain loop the
+          // compiler vectorizes inline beats a memcpy call per row.
+          if (geo.stride == 1) {
+            for (std::size_t x = 0; x < ow; ++x) out[x] = in_row[x];
+          } else {
+            for (std::size_t x = 0; x < ow; ++x) out[x] = in_row[x * geo.stride];
           }
         }
       }
@@ -705,35 +751,41 @@ void im2col(std::span<const float> image, const Conv2dGeometry& geo,
 
 void col2im(std::span<const float> columns, const Conv2dGeometry& geo,
             std::span<float> image_grad) {
-  const std::size_t oh = geo.out_h();
-  const std::size_t ow = geo.out_w();
-  const std::size_t expected_image = geo.in_channels * geo.in_h * geo.in_w;
-  const std::size_t expected_cols = geo.in_channels * geo.kernel_h * geo.kernel_w * oh * ow;
-  if (image_grad.size() != expected_image) {
-    throw std::invalid_argument("col2im: image size " + std::to_string(image_grad.size()) +
-                                " != expected " + std::to_string(expected_image));
+  check_conv_sizes(image_grad.size(), columns.size(), geo, "col2im");
+  const std::size_t oh = geo.out_h(), ow = geo.out_w();
+  const std::size_t bh = bordered_h(geo), bw = bordered_w(geo);
+  // Accumulate into a bordered copy of image_grad's current values: every
+  // interior element then sees the same += sequence, in the same
+  // (c, kh, kw, y, x) order, as a bounds-checked scatter would give it, and
+  // the border's sums are dropped.
+  float* dst = image_grad.data();
+  if (geo.pad > 0) {
+    dst = bordered_scratch(geo);
+    for_each_interior_row(geo, [&](std::size_t at, std::size_t bat) {
+      std::copy(image_grad.data() + at, image_grad.data() + at + geo.in_w, dst + bat);
+    });
   }
-  if (columns.size() != expected_cols) {
-    throw std::invalid_argument("col2im: columns size " + std::to_string(columns.size()) +
-                                " != expected " + std::to_string(expected_cols));
-  }
-  std::size_t row = 0;
+  const float* in = columns.data();
   for (std::size_t c = 0; c < geo.in_channels; ++c) {
     for (std::size_t kh = 0; kh < geo.kernel_h; ++kh) {
-      for (std::size_t kw = 0; kw < geo.kernel_w; ++kw, ++row) {
-        const float* in_row = columns.data() + row * oh * ow;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const long in_y = static_cast<long>(y * geo.stride + kh) - static_cast<long>(geo.pad);
-          if (in_y < 0 || in_y >= static_cast<long>(geo.in_h)) continue;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const long in_x = static_cast<long>(x * geo.stride + kw) - static_cast<long>(geo.pad);
-            if (in_x < 0 || in_x >= static_cast<long>(geo.in_w)) continue;
-            image_grad[(c * geo.in_h + static_cast<std::size_t>(in_y)) * geo.in_w +
-                       static_cast<std::size_t>(in_x)] += in_row[y * ow + x];
+      for (std::size_t kw = 0; kw < geo.kernel_w; ++kw) {
+        float* window = dst + (c * bh + kh) * bw + kw;
+        for (std::size_t y = 0; y < oh; ++y, in += ow) {
+          float* out_row = window + y * geo.stride * bw;
+          // As in im2col, the unit-stride loop is split out so it vectorizes.
+          if (geo.stride == 1) {
+            for (std::size_t x = 0; x < ow; ++x) out_row[x] += in[x];
+          } else {
+            for (std::size_t x = 0; x < ow; ++x) out_row[x * geo.stride] += in[x];
           }
         }
       }
     }
+  }
+  if (geo.pad > 0) {
+    for_each_interior_row(geo, [&](std::size_t at, std::size_t bat) {
+      std::copy(dst + bat, dst + bat + geo.in_w, image_grad.data() + at);
+    });
   }
 }
 

@@ -182,12 +182,16 @@ struct Conv2dGeometry {
 
 // im2col: expands one image (C,H,W flattened in `image`) to a matrix of
 // shape (C*kh*kw) x (out_h*out_w), written into `columns` (row-major, must be
-// pre-sized). Padding reads as zero.
+// pre-sized). Padding reads as zero. With pad > 0 the image is first copied
+// into a zero-bordered per-thread buffer, so every column row is a plain
+// (or strided) copy with no per-element bounds test.
 void im2col(std::span<const float> image, const Conv2dGeometry& geo,
             std::span<float> columns);
 // col2im: scatters gradients from column layout back to image layout
 // (accumulating into `image_grad`, which must be pre-sized and may hold
-// prior accumulation).
+// prior accumulation). Each image element receives its column values in
+// (c, kh, kw, y, x) order, added one at a time onto its prior value;
+// contributions that fall in the padding are dropped.
 void col2im(std::span<const float> columns, const Conv2dGeometry& geo,
             std::span<float> image_grad);
 

@@ -2,6 +2,10 @@
 // ModelState arithmetic.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
+#include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/sequential.hpp"
@@ -11,6 +15,31 @@
 
 namespace fedca {
 namespace {
+
+// ReLU::backward must keep the bits of the branch form
+// `x > 0 ? g : 0` on every input class, the non-finite ones included.
+TEST(ReLU, BackwardBitIdenticalToBranchForm) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials{1.5f, -2.0f, 0.0f,    -0.0f, nan,     -nan,
+                                    inf,  -inf,  denorm, -denorm, 1e-38f, -1e-38f};
+  const std::size_t n = specials.size() * specials.size();
+  tensor::Tensor x({n}), g({n});
+  // Every (input, upstream gradient) pair of specials.
+  for (std::size_t i = 0; i < specials.size(); ++i) {
+    for (std::size_t j = 0; j < specials.size(); ++j) {
+      x[i * specials.size() + j] = specials[i];
+      g[i * specials.size() + j] = specials[j];
+    }
+  }
+  nn::ReLU relu;
+  relu.forward(x);
+  const tensor::Tensor dx = relu.backward(g);
+  std::vector<float> want(n);
+  for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? g[i] : 0.0f;
+  EXPECT_EQ(std::memcmp(dx.raw(), want.data(), n * sizeof(float)), 0);
+}
 
 TEST(Module, ParameterNamesFollowPrefix) {
   util::Rng rng(1);

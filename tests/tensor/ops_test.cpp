@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -223,6 +226,154 @@ TEST(Im2col, Col2imAccumulatesWindowCounts) {
     }
   }
   EXPECT_EQ(back, expected);
+}
+
+// Per-element reference for the layout kernels: a bounds test on every
+// column element, padding read as zero / scattered nowhere.
+void im2col_oracle(const std::vector<float>& image, const tensor::Conv2dGeometry& geo,
+                   std::vector<float>& cols) {
+  const long H = static_cast<long>(geo.in_h), W = static_cast<long>(geo.in_w);
+  const std::size_t oh = geo.out_h(), ow = geo.out_w();
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < geo.in_channels; ++c) {
+    for (std::size_t kh = 0; kh < geo.kernel_h; ++kh) {
+      for (std::size_t kw = 0; kw < geo.kernel_w; ++kw) {
+        for (std::size_t y = 0; y < oh; ++y) {
+          for (std::size_t x = 0; x < ow; ++x, ++i) {
+            const long iy = static_cast<long>(y * geo.stride + kh) - static_cast<long>(geo.pad);
+            const long ix = static_cast<long>(x * geo.stride + kw) - static_cast<long>(geo.pad);
+            cols[i] = (iy >= 0 && iy < H && ix >= 0 && ix < W)
+                          ? image[(c * geo.in_h + static_cast<std::size_t>(iy)) * geo.in_w +
+                                  static_cast<std::size_t>(ix)]
+                          : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_oracle(const std::vector<float>& cols, const tensor::Conv2dGeometry& geo,
+                   std::vector<float>& image_grad) {
+  const long H = static_cast<long>(geo.in_h), W = static_cast<long>(geo.in_w);
+  const std::size_t oh = geo.out_h(), ow = geo.out_w();
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < geo.in_channels; ++c) {
+    for (std::size_t kh = 0; kh < geo.kernel_h; ++kh) {
+      for (std::size_t kw = 0; kw < geo.kernel_w; ++kw) {
+        for (std::size_t y = 0; y < oh; ++y) {
+          for (std::size_t x = 0; x < ow; ++x, ++i) {
+            const long iy = static_cast<long>(y * geo.stride + kh) - static_cast<long>(geo.pad);
+            const long ix = static_cast<long>(x * geo.stride + kw) - static_cast<long>(geo.pad);
+            if (iy < 0 || iy >= H || ix < 0 || ix >= W) continue;
+            image_grad[(c * geo.in_h + static_cast<std::size_t>(iy)) * geo.in_w +
+                       static_cast<std::size_t>(ix)] += cols[i];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Random values with signed zeros mixed in, so a changed accumulation
+// order (-0 + 0 vs 0 + -0) or a dropped write shows in the bits.
+std::vector<float> signed_values(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t pick = rng.uniform_index(8);
+    v[i] = pick == 0 ? -0.0f : pick == 1 ? 0.0f : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Every geometry the sweep checks: pad 0..k-1, stride 1..3, kernel 1/3/5,
+// C 1..6 on non-square images, plus the models' own conv layers.
+std::vector<tensor::Conv2dGeometry> layout_geometries() {
+  std::vector<tensor::Conv2dGeometry> geos = {
+      {3, 16, 16, 5, 5, 1, 2},   // LeNet conv1
+      {6, 8, 8, 5, 5, 1, 2},     // LeNet conv2
+      {3, 16, 16, 3, 3, 1, 1},   // WRN stem
+      {8, 16, 16, 3, 3, 2, 1},   // WRN strided block conv
+      {8, 16, 16, 1, 1, 2, 0},   // WRN projection shortcut
+      {16, 8, 8, 3, 3, 1, 1},    // WRN block conv
+  };
+  const std::size_t sizes[][2] = {{5, 7}, {9, 6}, {11, 11}};
+  for (std::size_t c = 1; c <= 6; ++c) {
+    for (std::size_t k : {1u, 3u, 5u}) {
+      for (std::size_t pad = 0; pad < k || pad == 0; ++pad) {
+        for (std::size_t stride = 1; stride <= 3; ++stride) {
+          for (const auto& hw : sizes) geos.push_back({c, hw[0], hw[1], k, k, stride, pad});
+        }
+      }
+    }
+  }
+  return geos;
+}
+
+std::string describe(const tensor::Conv2dGeometry& g) {
+  return "C" + std::to_string(g.in_channels) + " " + std::to_string(g.in_h) + "x" +
+         std::to_string(g.in_w) + " k" + std::to_string(g.kernel_h) + " s" +
+         std::to_string(g.stride) + " p" + std::to_string(g.pad);
+}
+
+TEST(Im2col, BitIdenticalToPerElementOracle) {
+  std::uint64_t seed = 1;
+  for (const auto& geo : layout_geometries()) {
+    const std::size_t cols_n =
+        geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w();
+    const auto image = signed_values(geo.in_channels * geo.in_h * geo.in_w, seed++);
+    // Start both outputs from garbage: every element must be written.
+    std::vector<float> got(cols_n, 7.0f), want(cols_n, -7.0f);
+    // A col2im first leaves non-zero sums in the border of the per-thread
+    // scratch that im2col reuses: its padding must still read as zero.
+    std::vector<float> sink(image.size());
+    tensor::col2im(signed_values(cols_n, seed++), geo, sink);
+    tensor::im2col(image, geo, got);
+    im2col_oracle(image, geo, want);
+    EXPECT_TRUE(same_bits(got, want)) << describe(geo);
+  }
+}
+
+TEST(Im2col, Col2imBitIdenticalToPerElementOracle) {
+  std::uint64_t seed = 1000;
+  for (const auto& geo : layout_geometries()) {
+    const std::size_t cols_n =
+        geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w();
+    const auto cols = signed_values(cols_n, seed++);
+    // A non-zero destination: col2im accumulates onto what is there.
+    const auto prior = signed_values(geo.in_channels * geo.in_h * geo.in_w, seed++);
+    std::vector<float> got = prior, want = prior;
+    tensor::col2im(cols, geo, got);
+    col2im_oracle(cols, geo, want);
+    EXPECT_TRUE(same_bits(got, want)) << describe(geo);
+  }
+}
+
+// Pins the accumulate contract on signed zeros: -0 + -0 stays -0, and a
+// destination's -0 plus a +0 column value becomes +0.
+TEST(Im2col, Col2imAccumulatesOntoSignedZeros) {
+  tensor::Conv2dGeometry geo{1, 2, 2, 1, 1, 1, 0};
+  std::vector<float> cols{-0.0f, 0.0f, -0.0f, 1.0f};
+  std::vector<float> grad{-0.0f, -0.0f, 0.0f, 2.0f};
+  tensor::col2im(cols, geo, grad);
+  EXPECT_TRUE(std::signbit(grad[0]));
+  EXPECT_FALSE(std::signbit(grad[1]));
+  EXPECT_FALSE(std::signbit(grad[2]));
+  EXPECT_EQ(grad[3], 3.0f);
+  // Padded: the centre tap of a 3x3 kernel is the only one landing on a 1x1
+  // image, so a -0 there keeps the destination's -0; border taps vanish.
+  tensor::Conv2dGeometry padded{1, 1, 1, 3, 3, 1, 1};
+  std::vector<float> taps(9, 5.0f);
+  taps[4] = -0.0f;
+  std::vector<float> one{-0.0f};
+  tensor::col2im(taps, padded, one);
+  EXPECT_TRUE(std::signbit(one[0]));
+  EXPECT_EQ(one[0], 0.0f);
 }
 
 TEST(Conv2dGeometry, OutputDims) {
