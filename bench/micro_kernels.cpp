@@ -2,9 +2,9 @@
 // GEMM in all three transpose variants (square sizes and the models' own
 // shapes), the retained naive references (before/after comparison), the
 // pool-parallel GEMM path, span kernels, the fused dense-layer helpers,
-// conv2d forward/backward, statistical progress (Eq. 1), profiler
-// recording, link throughput, speed-timeline integration, and end-to-end
-// round throughput.
+// conv2d forward/backward, the conv layout kernels (im2col, col2im), ReLU
+// backward, statistical progress (Eq. 1), profiler recording, link
+// throughput, speed-timeline integration, and end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "fl/experiment.hpp"
 #include "fl/round_engine.hpp"
 #include "fl/scheme.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/models.hpp"
 #include "bench/common.hpp"
@@ -238,6 +239,68 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+// The conv layout kernels at LeNet's per-sample geometries (conv1: 3x16x16,
+// conv2: 6x8x8, both 5x5 pad 2), once per sample of a batch of 16 as the
+// layers run them.
+constexpr std::size_t kLayoutBatch = 16;
+const tensor::Conv2dGeometry kLenetConv1{3, 16, 16, 5, 5, 1, 2};
+const tensor::Conv2dGeometry kLenetConv2{6, 8, 8, 5, 5, 1, 2};
+
+std::size_t column_count(const tensor::Conv2dGeometry& geo) {
+  return geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w();
+}
+
+void BM_Im2col(benchmark::State& state, const tensor::Conv2dGeometry& geo) {
+  const std::size_t image = geo.in_channels * geo.in_h * geo.in_w;
+  const tensor::Tensor images = randn({kLayoutBatch, image}, 21);
+  tensor::Tensor columns({column_count(geo)});
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < kLayoutBatch; ++s) {
+      tensor::im2col(images.data().subspan(s * image, image), geo, columns.data());
+      benchmark::DoNotOptimize(columns.raw());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kLayoutBatch * columns.numel()));
+}
+BENCHMARK_CAPTURE(BM_Im2col, conv1_3x16x16_k5p2, kLenetConv1);
+BENCHMARK_CAPTURE(BM_Im2col, conv2_6x8x8_k5p2, kLenetConv2);
+
+void BM_Col2im(benchmark::State& state, const tensor::Conv2dGeometry& geo) {
+  const std::size_t image = geo.in_channels * geo.in_h * geo.in_w;
+  const tensor::Tensor columns = randn({column_count(geo)}, 22);
+  tensor::Tensor grads({kLayoutBatch, image});
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < kLayoutBatch; ++s) {
+      tensor::col2im(columns.data(), geo, grads.data().subspan(s * image, image));
+    }
+    benchmark::DoNotOptimize(grads.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kLayoutBatch * columns.numel()));
+}
+BENCHMARK_CAPTURE(BM_Col2im, conv1_3x16x16_k5p2, kLenetConv1);
+BENCHMARK_CAPTURE(BM_Col2im, conv2_6x8x8_k5p2, kLenetConv2);
+
+// ReLU backward on normal inputs, whose signs are random as a trained
+// layer's pre-activations are, at the shapes after LeNet's two convs.
+void BM_ReluBackward(benchmark::State& state, std::size_t channels, std::size_t side) {
+  const tensor::Tensor input = randn({kLayoutBatch, channels, side, side}, 23);
+  const tensor::Tensor grad = randn({kLayoutBatch, channels, side, side}, 24);
+  nn::ReLU relu;
+  relu.forward(input);
+  for (auto _ : state) {
+    tensor::Tensor dx = relu.backward(grad);
+    benchmark::DoNotOptimize(dx.raw());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.numel()));
+}
+BENCHMARK_CAPTURE(BM_ReluBackward, relu1_16x6x16x16, 6, 16);
+BENCHMARK_CAPTURE(BM_ReluBackward, relu2_16x16x8x8, 16, 8);
 
 void BM_StatisticalProgress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

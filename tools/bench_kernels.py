@@ -40,7 +40,8 @@ BASELINE_NS = {
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmShape|GemmRef|GemmParallel|Axpy|Dot|"
-          "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
+          "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|Im2col|"
+          "Col2im|ReluBackward|"
           "StatisticalProgress|CnnTrainingIteration|RoundThroughput)")
 
 
